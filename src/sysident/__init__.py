@@ -25,7 +25,7 @@ from .models import (ModelConfig, build_model, count_parameters,
                      free_run_naive, load_checkpoint, lstm_cell_step,
                      predict_one_step, receptive_field, save_checkpoint,
                      simulate_free_run)
-from .tensor import Rng, Tensor, derive_seed, gaussian, matmul, reshape, tensor
+from .tensor import Rng, derive_seed
 from .training import (Adam, PlateauScheduler, RMSprop, SGDMomentum,
-                       TrainConfig, TrainHistory, mse_loss,
-                       reduce_lr_on_plateau, train, validation_loss)
+                       TrainConfig, TrainHistory, mse_loss, train,
+                       validation_loss)

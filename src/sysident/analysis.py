@@ -8,13 +8,13 @@ finite differences and serves as the independent cross-check.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DimensionError, UnsupportedError
 from .models import predict_one_step, receptive_field, simulate_free_run
-from .data import Dataset, denormalize_output, normalize_dataset
+from .data import denormalize_output, normalize_dataset
 
 
 def rmse(yhat, y):
@@ -37,6 +37,8 @@ class EvalReport:
     rmse_mean: float
     sample_count: int
     warmup_skipped: int
+    # per-record predictions over whole records, in data units; not saved
+    predictions: list = field(default_factory=list, repr=False, compare=False)
 
     def to_json(self):
         return json.dumps({
@@ -54,30 +56,30 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     With ``normalization`` the records are transformed into model units for
     prediction and the predictions mapped back, so the report stays in the
     data's original units. ``warmup`` samples are dropped from the start of
-    each record before scoring.
+    each record before scoring; the report keeps the whole-record predictions.
     """
     if mode not in ("one-step", "free-run"):
         raise DataError(f"unknown evaluation mode '{mode}'")
-    preds, meas = [], []
-    for record in dataset.records:
-        rec = record
-        if normalization is not None:
-            rec = normalize_dataset(Dataset(records=[record], role=dataset.role),
-                                    normalization).records[0]
+    model_data = dataset
+    if normalization is not None:
+        model_data = normalize_dataset(dataset, normalization)
+    preds = []
+    for rec in model_data.records:
         if mode == "one-step":
             yhat = predict_one_step(model, rec)
         else:
             yhat = simulate_free_run(model, rec.u)
         if normalization is not None:
             yhat = denormalize_output(yhat, normalization)
-        preds.append(yhat[:, warmup:])
-        meas.append(record.y[:, warmup:])
-    per_channel, mean = rmse(np.concatenate(preds, axis=1),
-                             np.concatenate(meas, axis=1))
+        preds.append(yhat)
+    scored = [p[:, warmup:] for p in preds]
+    per_channel, mean = rmse(
+        np.concatenate(scored, axis=1),
+        np.concatenate([r.y[:, warmup:] for r in dataset.records], axis=1))
     return EvalReport(mode=mode, rmse_per_channel=list(per_channel),
                       rmse_mean=mean,
-                      sample_count=sum(p.shape[1] for p in preds),
-                      warmup_skipped=warmup)
+                      sample_count=sum(p.shape[1] for p in scored),
+                      warmup_skipped=warmup, predictions=preds)
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ import numpy as np
 from . import __version__
 from .analysis import (error_spectrum, evaluate, extract_volterra_kernels,
                        fd_volterra_oracle)
-from .data import (Dataset, NoiseSpec, NormConstants, compute_norm_constants,
-                   denormalize_output, load_csv_dataset, make_chen_dataset,
-                   normalize_dataset, save_csv_dataset)
+from .data import (NoiseSpec, NormConstants, compute_norm_constants,
+                   load_csv_dataset, make_chen_dataset, normalize_dataset,
+                   save_csv_dataset)
 from .errors import (ConfigError, DataError, NumericError, ParameterError,
                      UnsupportedError)
 from .gridsearch import GridSpace, run_grid, select_best, write_results_csv
-from .models import (ModelConfig, build_model, load_checkpoint,
-                     predict_one_step, save_checkpoint, simulate_free_run)
+from .models import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .tensor import Rng, derive_seed
 from .training import TrainConfig, train
 
@@ -166,11 +165,12 @@ def cmd_eval(args):
             fh.write(report.to_json() + "\n")
         outputs.append(report_path)
         pred_path = os.path.join(args.out, f"predictions_{tag}.csv")
-        _write_predictions(model, dataset, mode, norm, pred_path)
+        _write_predictions(dataset, report.predictions, pred_path)
         outputs.append(pred_path)
         if args.band is not None:
             spec_path = os.path.join(args.out, f"spectrum_{tag}.csv")
-            _write_spectrum(model, dataset, mode, norm, args.band, spec_path)
+            _write_spectrum(dataset.records[0], report.predictions[0],
+                            args.band, spec_path)
             outputs.append(spec_path)
         print(f"{mode}: mean RMSE {report.rmse_mean:.6g} over "
               f"{report.sample_count} samples")
@@ -179,28 +179,14 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _predict(model, record, mode, norm):
-    rec = record
-    if norm is not None:
-        rec = normalize_dataset(Dataset(records=[record], role="test"), norm).records[0]
-    if mode == "one-step":
-        yhat = predict_one_step(model, rec)
-    else:
-        yhat = simulate_free_run(model, rec.u)
-    if norm is not None:
-        yhat = denormalize_output(yhat, norm)
-    return yhat
-
-
-def _write_predictions(model, dataset, mode, norm, path):
+def _write_predictions(dataset, predictions, path):
     ny = dataset.records[0].y.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
         cols = ["record", "k"]
         cols += [f"y{i + 1}" for i in range(ny)]
         cols += [f"yhat{i + 1}" for i in range(ny)]
         fh.write(",".join(cols) + "\n")
-        for ri, record in enumerate(dataset.records):
-            yhat = _predict(model, record, mode, norm)
+        for ri, (record, yhat) in enumerate(zip(dataset.records, predictions)):
             for k in range(record.length):
                 vals = [str(ri), str(k)]
                 vals += [repr(float(v)) for v in record.y[:, k]]
@@ -208,10 +194,8 @@ def _write_predictions(model, dataset, mode, norm, path):
                 fh.write(",".join(vals) + "\n")
 
 
-def _write_spectrum(model, dataset, mode, norm, band, path):
-    ny = dataset.records[0].y.shape[0]
-    record = dataset.records[0]
-    yhat = _predict(model, record, mode, norm)
+def _write_spectrum(record, yhat, band, path):
+    ny = record.y.shape[0]
     err = yhat - record.y
     rate = record.sample_rate if record.sample_rate else 1.0
     with open(path, "w", encoding="utf-8") as fh:

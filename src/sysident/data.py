@@ -180,11 +180,16 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
             if not row:
                 continue
             try:
-                u_rows.append([float(row[i]) for i in u_idx])
-                y_rows.append([float(row[i]) for i in y_idx])
+                u_vals = [float(row[i]) for i in u_idx]
+                y_vals = [float(row[i]) for i in y_idx]
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: malformed row at line {lineno}: "
                                 f"{row}") from exc
+            if not all(map(math.isfinite, u_vals + y_vals)):
+                raise DataError(f"{path}: non-finite value at line {lineno}: "
+                                f"{row}")
+            u_rows.append(u_vals)
+            y_rows.append(y_vals)
     if not u_rows:
         raise SchemaError(f"dataset file has no data rows: {path}")
     u = np.asarray(u_rows).T

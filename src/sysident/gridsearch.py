@@ -160,17 +160,40 @@ def _journal_append(path, row):
         csv.writer(fh).writerow(row.to_csv_row())
 
 
+def _task_key(index, repetition, config, seed):
+    return index, repetition, json.dumps(config, sort_keys=True), seed
+
+
 def _journal_load(path):
-    rows = {}
+    """Journal rows keyed by task.
+
+    A final line that a crash cut short is removed from the file, so its
+    configuration runs again; a malformed line before it is corruption.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for raw in csv.reader(fh):
-                if not raw:
-                    continue
-                row = GridRow.from_csv_row(raw)
-                rows[(row.index, row.repetition)] = row
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
     except FileNotFoundError:
-        pass
+        return {}
+    rows = {}
+    kept_bytes = 0
+    for lineno, raw in enumerate(lines, start=1):
+        # every append ends in a line terminator, so a torn one lacks it
+        torn = lineno == len(lines) and not raw.endswith(b"\n")
+        try:
+            fields = next(csv.reader([raw.decode("utf-8")]), None)
+            row = GridRow.from_csv_row(fields) if fields else None
+        except (ValueError, IndexError, csv.Error) as exc:
+            if lineno < len(lines):
+                raise DataError(f"{path}: malformed journal line {lineno}") from exc
+            torn = True
+        if torn:
+            with open(path, "r+b") as fh:
+                fh.truncate(kept_bytes)
+            break
+        if row is not None:
+            rows[_task_key(row.index, row.repetition, row.config, row.seed)] = row
+        kept_bytes += len(raw)
     return rows
 
 
@@ -181,17 +204,20 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
     Per-configuration seeds derive from (train_config.seed, index, repetition)
     only, so results do not depend on worker count or on other axes being
     added. With ``journal_path`` completed rows survive interruption and are
-    not re-run.
+    not re-run; a journal row is reused only when its index, repetition,
+    configuration and seed all match the task.
     """
     configs = grid_expand(space, base) if isinstance(space, GridSpace) else list(space)
     done = _journal_load(journal_path) if journal_path else {}
-    tasks = []
+    reused, tasks = [], []
     for rep in range(repetitions):
         for i, cfg in enumerate(configs):
-            if (i, rep) in done:
-                continue
             seed = derive_seed(train_config.seed, i, rep)
-            tasks.append((i, rep, cfg, seed, train_set, valid_set, train_config))
+            row = done.get(_task_key(i, rep, cfg.to_dict(), seed))
+            if row is not None:
+                reused.append(row)
+            else:
+                tasks.append((i, rep, cfg, seed, train_set, valid_set, train_config))
     fresh = []
     if jobs <= 1 or not tasks:
         for payload in tasks:
@@ -207,7 +233,7 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
                 if journal_path:
                     _journal_append(journal_path, row)
                 fresh.append(row)
-    rows = list(done.values()) + fresh
+    rows = reused + fresh
     rows.sort(key=lambda r: (r.index, r.repetition))
     return rows
 

@@ -60,51 +60,69 @@ def weight_norm_backward(v, g, d_w):
 
 
 class Layer:
-    """Base: parameter/grad dicts plus the forward/backward/stream protocol."""
+    """Base: parameter/grad/state dicts, named children and the stream protocol.
+
+    ``children`` lists the child layers once, as (name, layer) pairs, in the
+    order in which their parameters and state are named and saved.
+    """
 
     def __init__(self):
         self.params = {}
         self.grads = {}
+        self.state = {}
+        self.children = []
 
     def _register(self, name, value):
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
 
+    def _named(self, table, prefix):
+        for name, value in getattr(self, table).items():
+            yield prefix + name, value
+        for name, child in self.children:
+            yield from child._named(table, f"{prefix}{name}.")
+
+    def named_parameters(self):
+        return self._named("params", "")
+
+    def named_grads(self):
+        return self._named("grads", "")
+
+    def named_state(self):
+        return self._named("state", "")
+
     def zero_grads(self):
         for g in self.grads.values():
             g[...] = 0.0
-        for sub in self.sublayers():
-            sub.zero_grads()
+        for _, child in self.children:
+            child.zero_grads()
 
-    def sublayers(self):
-        return ()
-
-    def named_parameters(self, prefix=""):
-        for name, p in self.params.items():
-            yield prefix + name, p
-        for i, sub in enumerate(self.sublayers()):
-            yield from sub.named_parameters(f"{prefix}{self._subname(i)}.")
-
-    def named_grads(self, prefix=""):
-        for name, g in self.grads.items():
-            yield prefix + name, g
-        for i, sub in enumerate(self.sublayers()):
-            yield from sub.named_grads(f"{prefix}{self._subname(i)}.")
-
-    def named_state(self, prefix=""):
-        for i, sub in enumerate(self.sublayers()):
-            yield from sub.named_state(f"{prefix}{self._subname(i)}.")
-
-    def _subname(self, i):
-        return f"sub{i}"
-
-    def begin_stream(self, batch_size):
-        for sub in self.sublayers():
-            sub.begin_stream(batch_size)
+    def begin_stream(self, batch_size=1):
+        for _, child in self.children:
+            child.begin_stream(batch_size)
 
     def step(self, col):
         """Evaluation-mode streaming: one (batch, channels) column in and out."""
         raise NotImplementedError
+
+
+# layers applied in turn: the body of a residual block, a feed-forward model
+def chain_forward(layers, x, training=False):
+    for layer in layers:
+        x = layer.forward(x, training)
+    return x
+
+
+def chain_backward(layers, grad):
+    for layer in reversed(layers):
+        grad = layer.backward(grad)
+    return grad
+
+
+def chain_step(layers, col):
+    for layer in layers:
+        col = layer.step(col)
+    return col
 
 
 class CausalConv1d(Layer):
@@ -215,56 +233,6 @@ class CausalConv1d(Layer):
         return self.forward(buf, training=False)[:, :, -1]
 
 
-class Dense(Layer):
-    """Affine map over (batch, features): out = x W^T + b."""
-
-    def __init__(self, in_features, out_features, rng=None, init="glorot",
-                 weight_norm=False):
-        super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight_norm = weight_norm
-        w = _init_weight(rng, (out_features, in_features), in_features,
-                         out_features, init)
-        if weight_norm:
-            self._register("v", w)
-            self._register("g", np.sqrt(np.sum(w * w, axis=1)))
-        else:
-            self._register("W", w)
-        self._register("b", np.zeros(out_features))
-        self._cache = None
-
-    def effective_weight(self):
-        if self.weight_norm:
-            return weight_norm_forward(self.params["v"], self.params["g"])
-        return self.params["W"]
-
-    def forward(self, x, training=False):
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise DimensionError(
-                f"dense expects (batch, {self.in_features}), got {x.shape}"
-            )
-        w = self.effective_weight()
-        self._cache = (x, w)
-        return x @ w.T + self.params["b"]
-
-    def backward(self, grad):
-        x, w = self._cache
-        if grad.shape != (x.shape[0], self.out_features):
-            raise DimensionError(
-                f"upstream grad shape {grad.shape} does not match forward output"
-            )
-        d_w = grad.T @ x
-        self.grads["b"] += grad.sum(axis=0)
-        if self.weight_norm:
-            d_v, d_g = weight_norm_backward(self.params["v"], self.params["g"], d_w)
-            self.grads["v"] += d_v
-            self.grads["g"] += d_g
-        else:
-            self.grads["W"] += d_w
-        return grad @ w
-
-
 def _sigmoid(x):
     # piecewise-stable logistic; same formula everywhere for reproducibility
     out = np.empty_like(x)
@@ -318,20 +286,20 @@ class Dropout(Layer):
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.rng = rng
-        self._scaled_mask = None
+        self.mask = None
 
     def forward(self, x, training=False):
         if not training or self.rate == 0.0:
-            self._scaled_mask = None
+            self.mask = None
             return x
         keep = self.rng.random(x.shape) >= self.rate
-        self._scaled_mask = keep / (1.0 - self.rate)
-        return x * self._scaled_mask
+        self.mask = keep / (1.0 - self.rate)
+        return x * self.mask
 
     def backward(self, grad):
-        if self._scaled_mask is None:
+        if self.mask is None:
             return grad
-        return grad * self._scaled_mask
+        return grad * self.mask
 
     def step(self, col):
         return col
@@ -354,11 +322,10 @@ class BatchNorm(Layer):
         self._register("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+        # updated in place, so these entries always alias the attributes
+        self.state = {"running_mean": self.running_mean,
+                      "running_var": self.running_var}
         self._cache = None
-
-    def named_state(self, prefix=""):
-        yield prefix + "running_mean", self.running_mean
-        yield prefix + "running_var", self.running_var
 
     def _check_input(self, x):
         if x.ndim != 3 or x.shape[1] != self.channels:
@@ -455,71 +422,25 @@ class ResidualBlock(Layer):
                                      init="glorot")
         else:
             self.skip = None
-
-    def sublayers(self):
-        subs = [self.conv1]
-        if self.bn1 is not None:
-            subs.append(self.bn1)
-        subs.extend([self.act1, self.drop1, self.conv2])
-        if self.bn2 is not None:
-            subs.append(self.bn2)
-        subs.extend([self.act2, self.drop2])
-        if self.skip is not None:
-            subs.append(self.skip)
-        return subs
-
-    def _subname(self, i):
-        names = ["conv1"]
-        if self.bn1 is not None:
-            names.append("bn1")
-        names.extend(["act1", "drop1", "conv2"])
-        if self.bn2 is not None:
-            names.append("bn2")
-        names.extend(["act2", "drop2"])
-        if self.skip is not None:
-            names.append("skip")
-        return names[i]
+        self.children = [(name, layer) for name, layer in (
+            ("conv1", self.conv1), ("bn1", self.bn1), ("act1", self.act1),
+            ("drop1", self.drop1), ("conv2", self.conv2), ("bn2", self.bn2),
+            ("act2", self.act2), ("drop2", self.drop2), ("skip", self.skip))
+            if layer is not None]
+        self.body = [layer for name, layer in self.children if name != "skip"]
 
     @property
     def receptive_field(self):
         return 2 * (self.kernel_size - 1) * self.dilation + 1
 
     def forward(self, x, training=False):
-        h = self.conv1.forward(x, training)
-        if self.bn1 is not None:
-            h = self.bn1.forward(h, training)
-        h = self.act1.forward(h, training)
-        h = self.drop1.forward(h, training)
-        h = self.conv2.forward(h, training)
-        if self.bn2 is not None:
-            h = self.bn2.forward(h, training)
-        h = self.act2.forward(h, training)
-        h = self.drop2.forward(h, training)
-        s = x if self.skip is None else self.skip.forward(x, training)
-        return h + s
+        h = chain_forward(self.body, x, training)
+        return h + (x if self.skip is None else self.skip.forward(x, training))
 
     def backward(self, grad):
-        g = self.drop2.backward(grad)
-        g = self.act2.backward(g)
-        if self.bn2 is not None:
-            g = self.bn2.backward(g)
-        g = self.conv2.backward(g)
-        g = self.drop1.backward(g)
-        g = self.act1.backward(g)
-        if self.bn1 is not None:
-            g = self.bn1.backward(g)
-        dx = self.conv1.backward(g)
-        dx = dx + (grad if self.skip is None else self.skip.backward(grad))
-        return dx
+        dx = chain_backward(self.body, grad)
+        return dx + (grad if self.skip is None else self.skip.backward(grad))
 
     def step(self, col):
-        h = self.conv1.step(col)
-        if self.bn1 is not None:
-            h = self.bn1.step(h)
-        h = self.drop1.step(self.act1.step(h))
-        h = self.conv2.step(h)
-        if self.bn2 is not None:
-            h = self.bn2.step(h)
-        h = self.drop2.step(self.act2.step(h))
-        s = col if self.skip is None else self.skip.step(col)
-        return h + s
+        h = chain_step(self.body, col)
+        return h + (col if self.skip is None else self.skip.step(col))

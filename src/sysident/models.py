@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UnsupportedError
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
-                     Dropout, Layer, ResidualBlock, _sigmoid)
+                     Dropout, Layer, ResidualBlock, _sigmoid, chain_backward,
+                     chain_forward, chain_step)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
@@ -69,11 +70,11 @@ class ModelConfig:
 
 
 class _SequenceModel(Layer):
-    """Shared plumbing: parameter traversal plus per-layer streaming.
+    """Shared plumbing: the configuration plus per-layer streaming.
 
     ``begin_stream`` resets the ring buffers (or recurrent state) of every
-    sublayer; ``step`` then advances the whole model one time step at a cost
-    proportional to the receptive field.
+    child layer; ``step`` then advances the whole model one time step at a
+    cost proportional to the receptive field.
     """
 
     def __init__(self, config):
@@ -83,100 +84,59 @@ class _SequenceModel(Layer):
     def num_parameters(self):
         return sum(p.size for _, p in self.named_parameters())
 
-    def begin_stream(self, batch_size=1):
-        for sub in self.sublayers():
-            sub.begin_stream(batch_size)
 
+class FeedForwardNet(_SequenceModel):
+    """A chain of causal convolution stages followed by a 1x1 output map.
 
-class TCN(_SequenceModel):
-    """Stacked residual blocks of dilated causal convolutions + 1x1 output map."""
-
-    def __init__(self, config, rng):
-        super().__init__(config)
-        c = config
-        self.blocks = []
-        cin = c.in_channels
-        for l in range(c.depth):
-            d = 2 ** l if c.dilations else 1
-            self.blocks.append(ResidualBlock(
-                cin, c.hidden, c.kernel_size, d, norm=c.norm,
-                dropout=c.dropout, activation=c.activation, rng=rng))
-            cin = c.hidden
-        self.head = CausalConv1d(c.hidden, c.ny, 1, 1, rng, init="glorot")
-
-    @property
-    def dilation_factors(self):
-        return [b.dilation for b in self.blocks]
-
-    def sublayers(self):
-        return (*self.blocks, self.head)
-
-    def _subname(self, i):
-        return f"blocks.{i}" if i < len(self.blocks) else "head"
-
-    def forward(self, x, training=False):
-        h = x
-        for block in self.blocks:
-            h = block.forward(h, training)
-        return self.head.forward(h, training)
-
-    def backward(self, grad):
-        g = self.head.backward(grad)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        return g
-
-    def step(self, col):
-        h = col
-        for block in self.blocks:
-            h = block.step(h)
-        return self.head.step(h)
-
-
-class MLPNet(_SequenceModel):
-    """NARX multilayer perceptron applied along the sequence.
-
-    The first layer is a kernel-n causal convolution, which is exactly a dense
-    layer on the window of the last n regression vectors; deeper hidden layers
-    and the output map are 1x1 convolutions (per-time-step dense maps).
+    The TCN's stages are residual blocks of dilated causal convolutions
+    (``model.blocks``). The NARX-MLP's first stage is a kernel-n causal
+    convolution, which is exactly a dense layer on the window of the last n
+    regression vectors; its deeper hidden layers are 1x1 convolutions, i.e.
+    per-time-step dense maps (``model.layers``).
     """
 
-    def __init__(self, config, rng):
+    def __init__(self, config, group, stages, head):
         super().__init__(config)
-        c = config
-        init = "he" if c.activation == "relu" else "glorot"
-        self.layers = [CausalConv1d(c.in_channels, c.hidden, c.order, 1, rng,
-                                    init=init)]
-        self.layers.append(Activation(c.activation))
-        for _ in range(c.depth - 1):
-            self.layers.append(CausalConv1d(c.hidden, c.hidden, 1, 1, rng,
-                                            init=init))
-            self.layers.append(Activation(c.activation))
-        self.head = CausalConv1d(c.hidden, c.ny, 1, 1, rng, init="glorot")
-
-    def sublayers(self):
-        return (*self.layers, self.head)
-
-    def _subname(self, i):
-        return f"layers.{i}" if i < len(self.layers) else "head"
+        setattr(self, group, stages)     # model.blocks or model.layers
+        self.head = head
+        self.children = [(f"{group}.{i}", s) for i, s in enumerate(stages)]
+        self.children.append(("head", head))
+        self.chain = [*stages, head]
 
     def forward(self, x, training=False):
-        h = x
-        for layer in self.layers:
-            h = layer.forward(h, training)
-        return self.head.forward(h, training)
+        return chain_forward(self.chain, x, training)
 
     def backward(self, grad):
-        g = self.head.backward(grad)
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
+        return chain_backward(self.chain, grad)
 
     def step(self, col):
-        h = col
-        for layer in self.layers:
-            h = layer.step(h)
-        return self.head.step(h)
+        return chain_step(self.chain, col)
+
+
+def _tcn_blocks(c, rng):
+    blocks = []
+    cin = c.in_channels
+    for l in range(c.depth):
+        d = 2 ** l if c.dilations else 1
+        blocks.append(ResidualBlock(
+            cin, c.hidden, c.kernel_size, d, norm=c.norm,
+            dropout=c.dropout, activation=c.activation, rng=rng))
+        cin = c.hidden
+    return blocks
+
+
+def _mlp_layers(c, rng):
+    init = "he" if c.activation == "relu" else "glorot"
+    layers = [CausalConv1d(c.in_channels, c.hidden, c.order, 1, rng, init=init),
+              Activation(c.activation)]
+    for _ in range(c.depth - 1):
+        layers.append(CausalConv1d(c.hidden, c.hidden, 1, 1, rng, init=init))
+        layers.append(Activation(c.activation))
+    return layers
+
+
+def _output_map(c, rng):
+    return CausalConv1d(c.hidden, c.ny, 1, 1, rng, init="glorot")
 
 
 def lstm_cell_step(x_t, h_prev, c_prev, w_x, w_h, b):
@@ -245,16 +205,11 @@ class LSTMNet(_SequenceModel):
             in_size = c.hidden
         # dropout between stacked layers only (none after the last cell)
         self.drops = [Dropout(c.dropout, rng.split()) for _ in range(c.depth - 1)]
-        self.head = CausalConv1d(c.hidden, c.ny, 1, 1, rng, init="glorot")
-        self._caches = None
+        self.head = _output_map(c, rng)
+        self.children = [(f"cells.{i}", cell) for i, cell in enumerate(self.cells)]
+        self.children.append(("head", self.head))
+        self._layer_caches = None
         self._drop_masks = None
-        self._state = None
-
-    def sublayers(self):
-        return (*self.cells, self.head)
-
-    def _subname(self, i):
-        return f"cells.{i}" if i < len(self.cells) else "head"
 
     def init_state(self, batch_size):
         return [(np.zeros((batch_size, self.config.hidden)),
@@ -275,7 +230,7 @@ class LSTMNet(_SequenceModel):
             if li < len(self.cells) - 1:
                 drop = self.drops[li]
                 h = drop.forward(h, training)
-                masks.append(drop._scaled_mask)
+                masks.append(drop.mask)
         if record:
             self._drop_masks.append(masks)
         return h
@@ -292,7 +247,6 @@ class LSTMNet(_SequenceModel):
         tops = np.zeros((b_sz, self.config.hidden, t_len))
         for t in range(t_len):
             tops[:, :, t] = self._step_stack(x[:, :, t], state, training)
-        self._state = state
         return self.head.forward(tops, training)
 
     def backward(self, grad):
@@ -327,10 +281,8 @@ class LSTMNet(_SequenceModel):
 
     # recurrent streaming keeps (h, c) instead of input ring buffers
     def begin_stream(self, batch_size=1):
+        super().begin_stream(batch_size)
         self._stream_state = self.init_state(batch_size)
-        self._layer_caches = [[] for _ in self.cells]
-        self._drop_masks = []
-        self.head.begin_stream(batch_size)
 
     def step(self, col):
         top = self._step_stack(col, self._stream_state, training=False,
@@ -341,9 +293,11 @@ class LSTMNet(_SequenceModel):
 def build_model(config, rng):
     """Instantiate a model family from its configuration; deterministic in rng."""
     if config.family == "tcn":
-        return TCN(config, rng)
+        blocks = _tcn_blocks(config, rng)
+        return FeedForwardNet(config, "blocks", blocks, _output_map(config, rng))
     if config.family == "mlp":
-        return MLPNet(config, rng)
+        layers = _mlp_layers(config, rng)
+        return FeedForwardNet(config, "layers", layers, _output_map(config, rng))
     if config.family == "lstm":
         return LSTMNet(config, rng)
     raise ConfigError(f"unknown model family '{config.family}'")
@@ -357,7 +311,7 @@ def receptive_field(model):
     """Number of past samples (current one included) that can move one output."""
     c = model.config
     if c.family == "tcn":
-        return 1 + sum(2 * (c.kernel_size - 1) * b.dilation for b in model.blocks)
+        return 1 + sum(b.receptive_field - 1 for b in model.blocks)
     if c.family == "mlp":
         return c.order
     raise UnsupportedError("receptive field is unbounded for recurrent models")
@@ -410,6 +364,9 @@ def simulate_free_run(model, u, y_init=None):
         u = u[None, :]
     if u.shape[0] != c.nu:
         raise DimensionError(f"expected {c.nu} input channels, got {u.shape[0]}")
+    if y_init is not None and (y_init.ndim != 2 or y_init.shape[0] != c.ny):
+        raise DimensionError(f"y_init must have shape ({c.ny}, time), "
+                             f"got {y_init.shape}")
     t_len = u.shape[1]
     yhat = np.zeros((c.ny, t_len))
     init_len = 0 if y_init is None else y_init.shape[1]
@@ -496,16 +453,18 @@ def load_checkpoint(path):
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a model checkpoint: {path}")
     model = build_model(ModelConfig.from_dict(doc["config"]), Rng(0))
-    params = dict(model.named_parameters())
-    if set(params) != set(doc["params"]):
-        raise DataError("checkpoint parameter names do not match the configuration")
-    for name, entry in doc["params"].items():
-        arr = _decode_array(entry)
-        if arr.shape != params[name].shape:
-            raise DataError(f"checkpoint parameter '{name}' has shape "
-                            f"{arr.shape}, expected {params[name].shape}")
-        params[name][...] = arr
-    state = dict(model.named_state())
-    for name, entry in doc.get("state", {}).items():
-        state[name][...] = _decode_array(entry)
+    _load_arrays("parameter", dict(model.named_parameters()), doc["params"])
+    _load_arrays("state", dict(model.named_state()), doc.get("state", {}))
     return model, doc.get("normalization")
+
+
+def _load_arrays(kind, arrays, entries):
+    """Copy saved arrays into a model's own, by name; names and shapes must match."""
+    if set(arrays) != set(entries):
+        raise DataError(f"checkpoint {kind} names do not match the configuration")
+    for name, entry in entries.items():
+        arr = _decode_array(entry)
+        if arr.shape != arrays[name].shape:
+            raise DataError(f"checkpoint {kind} '{name}' has shape "
+                            f"{arr.shape}, expected {arrays[name].shape}")
+        arrays[name][...] = arr

@@ -1,51 +1,15 @@
-"""Dense float64 tensors and a counter-based, splittable random stream.
+"""A counter-based, splittable random stream and stable seed derivation.
 
-Tensors are plain C-order ``numpy.ndarray`` objects with dtype float64;
-every public helper enforces that representation. ``Rng`` wraps numpy's
-Philox bit generator (counter-based), so a given seed produces the same
-stream on every platform and ``split()`` yields statistically independent
-child streams that are themselves reproducible.
+``Rng`` wraps numpy's Philox bit generator (counter-based), so a given seed
+produces the same stream on every platform and ``split()`` yields
+statistically independent child streams that are themselves reproducible.
 """
 
 import hashlib
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-
-Tensor = np.ndarray
-
-
-def tensor(data, shape=None):
-    """Build a C-order float64 array, optionally reshaped row-major."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    if shape is not None:
-        arr = reshape(arr, shape)
-    return arr
-
-
-def reshape(t, shape):
-    """Row-major reshape; element count must be preserved."""
-    arr = np.asarray(t, dtype=np.float64)
-    try:
-        return np.reshape(arr, tuple(shape), order="C")
-    except ValueError as exc:
-        raise DimensionError(
-            f"cannot reshape {arr.shape} into {tuple(shape)}"
-        ) from exc
-
-
-def matmul(a, b):
-    """Matrix product of two rank-2 tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul needs rank-2 operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
+from .errors import ParameterError
 
 
 def _derive_key(label):
@@ -99,7 +63,3 @@ class Rng:
     def set_state(self, state):
         self._gen.bit_generator.state = state
 
-
-def gaussian(rng, shape, mean=0.0, std=1.0):
-    """I.i.d. normal samples drawn from ``rng``."""
-    return rng.gaussian(shape, mean=mean, std=std)

@@ -174,14 +174,6 @@ class PlateauScheduler:
         return self.lr
 
 
-def reduce_lr_on_plateau(losses, lr, patience=10, factor=0.1, min_lr=1e-6):
-    """Replay a loss history through a plateau scheduler; returns the final lr."""
-    sched = PlateauScheduler(lr, patience, factor, min_lr)
-    for loss in losses:
-        sched.update(loss)
-    return sched.lr
-
-
 class TrainHistory:
     """Per-epoch record of the run: losses, learning rate and wall-clock."""
 
@@ -203,17 +195,14 @@ class TrainHistory:
     def __len__(self):
         return len(self.epochs)
 
-    def to_csv(self, path, include_seconds=True):
+    def to_csv(self, path):
         # repr() keeps full float precision so files round-trip exactly
         with open(path, "w", encoding="utf-8") as fh:
-            cols = "epoch,train_loss,valid_loss,lr"
-            fh.write(cols + (",seconds\n" if include_seconds else "\n"))
+            fh.write("epoch,train_loss,valid_loss,lr,seconds\n")
             for i in range(len(self.epochs)):
                 vl = "" if self.valid_loss[i] is None else repr(float(self.valid_loss[i]))
-                row = f"{self.epochs[i]},{repr(float(self.train_loss[i]))},{vl},{repr(float(self.lr[i]))}"
-                if include_seconds:
-                    row += f",{self.seconds[i]:.3f}"
-                fh.write(row + "\n")
+                fh.write(f"{self.epochs[i]},{repr(float(self.train_loss[i]))},{vl},"
+                         f"{repr(float(self.lr[i]))},{self.seconds[i]:.3f}\n")
 
 
 def build_windows(dataset, narx, subseq_len):

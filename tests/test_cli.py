@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sysident import ModelConfig, Rng, build_model, save_checkpoint
+from sysident import analysis, cli, models
 from sysident.cli import main
 from sysident.data import Dataset, SequenceRecord, save_csv_dataset
 
@@ -143,6 +144,41 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", bad,
                        "--out", tmp_path / "o") == 2
 
+    def test_mismatched_checkpoint_state_exit_2(self, tmp_path, capsys):
+        _, data = self._oracle_setup(tmp_path)
+        model = build_model(ModelConfig(family="tcn", hidden=3, norm="batch"),
+                            Rng(15))
+        ckpt = tmp_path / "bn.json"
+        save_checkpoint(model, ckpt)
+        doc = json.loads(ckpt.read_text())
+        doc["state"]["blocks.0.extra.running_mean"] = \
+            doc["state"]["blocks.0.bn1.running_mean"]
+        ckpt.write_text(json.dumps(doc))
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--out", tmp_path / "o") == 2
+        assert "state names" in capsys.readouterr().err
+
+    def test_predicts_each_record_once_per_mode(self, tmp_path, monkeypatch):
+        model = u_channel_model()
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(model, ckpt)
+        data = tmp_path / "three.csv"
+        write_linear_dataset(data, 3, 40, seed=16)
+        calls = {"simulate_free_run": 0, "predict_one_step": 0}
+        for name in calls:
+            original = getattr(models, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            for mod in (models, analysis, cli):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--mode", "both", "--band", 0.1, 0.3,
+                       "--out", tmp_path / "o") == 0
+        assert calls == {"simulate_free_run": 3, "predict_one_step": 3}
+
 
 class TestGridsearch:
     def test_six_config_grid(self, tmp_path):
@@ -163,6 +199,25 @@ class TestGridsearch:
         assert len(lines) == 7   # header + 6 rows
         best = json.loads((out / "best.json").read_text())
         assert best["config"]["family"] == "tcn"
+
+    def test_corrupt_journal_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        val = tmp_path / "val.csv"
+        write_linear_dataset(data, 2, 30, seed=9)
+        write_linear_dataset(val, 1, 30, seed=10)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "axes": {"hidden": [2, 3]},
+            "base": {"family": "tcn", "depth": 1, "activation": "tanh"},
+        }))
+        out = tmp_path / "sweep"
+        args = ("gridsearch", "--grid", grid, "--data", data, "--val", val,
+                "--epochs", 2, "--seed", 11, "--out", out)
+        assert run_cli(*args) == 0
+        journal = out / "journal.csv"
+        journal.write_text("0,0,{torn\n" + journal.read_text())
+        assert run_cli(*args) == 2
+        assert "malformed journal line 1" in capsys.readouterr().err
 
 
 class TestVolterra:

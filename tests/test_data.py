@@ -141,6 +141,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="line 3"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"u1,y1\n1.0,2.0\n1.0,{value}\n")
+        with pytest.raises(DataError, match="non-finite value at line 3"):
+            load_csv_dataset(path)
+
     def test_missing_column_schema_error(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("u1,y1\n1.0,2.0\n")

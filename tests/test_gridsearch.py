@@ -5,7 +5,7 @@ import pytest
 
 from sysident import (GridRow, GridSpace, ModelConfig, NoiseSpec, Rng,
                       TrainConfig, chen_lstm_space, chen_mlp_space,
-                      chen_tcn_space, f16_tcn_space, grid_expand,
+                      chen_tcn_space, derive_seed, f16_tcn_space, grid_expand,
                       make_chen_dataset, marginal_quartiles, run_grid,
                       select_best)
 from sysident.errors import ConfigError, DataError
@@ -83,7 +83,8 @@ class TestRunGrid:
         journal = tmp_path / "journal.csv"
         sentinel = GridRow(index=0, repetition=0,
                            config=grid_expand(space, base)[0].to_dict(),
-                           seed=123, status="ok", rmse_one_step=42.0,
+                           seed=derive_seed(tiny_train_config().seed, 0, 0),
+                           status="ok", rmse_one_step=42.0,
                            rmse_free_run=43.0, best_epoch=0, wall_clock=0.0)
         from sysident.gridsearch import _journal_append
         _journal_append(journal, sentinel)
@@ -92,6 +93,58 @@ class TestRunGrid:
         assert len(rows) == 2
         assert rows[0].rmse_one_step == 42.0   # replayed, not retrained
         assert rows[1].rmse_one_step != 42.0
+
+    def test_changed_grid_reruns_instead_of_reusing_rows(self, tmp_path):
+        train, valid = tiny_datasets()
+        base = ModelConfig(family="tcn", depth=1, kernel_size=2,
+                           activation="tanh")
+        journal = tmp_path / "journal.csv"
+        run_grid(GridSpace(axes={"hidden": [2, 3]}), train, valid,
+                 tiny_train_config(), base=base, journal_path=journal)
+        changed = GridSpace(axes={"hidden": [5, 6]})
+        rows = run_grid(changed, train, valid, tiny_train_config(), base=base,
+                        journal_path=journal)
+        fresh = run_grid(changed, train, valid, tiny_train_config(), base=base)
+        assert [r.config["hidden"] for r in rows] == [5, 6]
+        assert [r.rmse_one_step for r in rows] == \
+               [r.rmse_one_step for r in fresh]
+        # the journal now holds both grids, and a rerun appends nothing
+        again = run_grid(changed, train, valid, tiny_train_config(),
+                         base=base, journal_path=journal)
+        assert [r.rmse_one_step for r in again] == \
+               [r.rmse_one_step for r in rows]
+        assert len(journal.read_text().splitlines()) == 4
+
+    def test_torn_final_journal_line_reruns_that_config(self, tmp_path):
+        train, valid = tiny_datasets()
+        space = GridSpace(axes={"hidden": [3, 4]})
+        base = ModelConfig(family="tcn", depth=1, kernel_size=2,
+                           activation="tanh")
+        journal = tmp_path / "journal.csv"
+        rows = run_grid(space, train, valid, tiny_train_config(), base=base,
+                        journal_path=journal)
+        text = journal.read_bytes()
+        journal.write_bytes(text[:-25])     # a crash cut the last append
+        resumed = run_grid(space, train, valid, tiny_train_config(), base=base,
+                           journal_path=journal)
+        assert [(r.index, r.rmse_one_step) for r in resumed] == \
+               [(r.index, r.rmse_one_step) for r in rows]
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2 and all(line.endswith(b"\r\n") for line in lines)
+
+    def test_malformed_earlier_journal_line_rejected(self, tmp_path):
+        train, valid = tiny_datasets()
+        space = GridSpace(axes={"hidden": [3, 4]})
+        base = ModelConfig(family="tcn", depth=1, kernel_size=2,
+                           activation="tanh")
+        journal = tmp_path / "journal.csv"
+        run_grid(space, train, valid, tiny_train_config(), base=base,
+                 journal_path=journal)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(lines[0][:-25] + b"\r\n" + lines[1])
+        with pytest.raises(DataError, match="line 1"):
+            run_grid(space, train, valid, tiny_train_config(), base=base,
+                     journal_path=journal)
 
     def test_parallel_matches_serial(self, tmp_path):
         train, valid = tiny_datasets()

@@ -4,8 +4,8 @@ import pytest
 from sysident import Rng
 from sysident.errors import DataError, DimensionError, ParameterError
 from sysident.gradcheck import check_model_gradients, numerical_gradient, relative_error
-from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dense,
-                             Dropout, ResidualBlock, weight_norm_backward,
+from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dropout,
+                             ResidualBlock, weight_norm_backward,
                              weight_norm_forward)
 
 GRAD_TOL = 1e-6
@@ -106,30 +106,6 @@ class TestCausalConv:
         conv.forward(np.zeros((1, 2, 5)))
         with pytest.raises(DimensionError):
             conv.backward(np.zeros((1, 1, 4)))
-
-
-class TestDense:
-    def test_identity(self):
-        d = Dense(3, 3, Rng(0))
-        d.params["W"][...] = np.eye(3)
-        d.params["b"][...] = 0.0
-        x = Rng(1).gaussian((4, 3))
-        assert np.array_equal(d.forward(x), x)
-
-    def test_bias_broadcast(self):
-        d = Dense(3, 1, Rng(0))
-        d.params["W"][...] = 0.0
-        d.params["b"][...] = 5.0
-        out = d.forward(Rng(1).gaussian((4, 3)))
-        assert np.array_equal(out, np.full((4, 1), 5.0))
-
-    def test_backward_matches_finite_differences(self):
-        d = Dense(4, 3, Rng(2))
-        assert check_model_gradients(d, Rng(3).gaussian((5, 4))) < GRAD_TOL
-
-    def test_weight_norm_backward(self):
-        d = Dense(4, 3, Rng(4), weight_norm=True)
-        assert check_model_gradients(d, Rng(5).gaussian((5, 4))) < GRAD_TOL
 
 
 class TestActivations:

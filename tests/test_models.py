@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from sysident import (ModelConfig, Rng, build_model, count_parameters,
                       free_run_naive, load_checkpoint, predict_one_step,
                       receptive_field, save_checkpoint, simulate_free_run)
 from sysident.data import SequenceRecord
-from sysident.errors import ConfigError, DataError, UnsupportedError
+from sysident.errors import (ConfigError, DataError, DimensionError,
+                             UnsupportedError)
 from sysident.gradcheck import check_model_gradients
 from sysident.layers import CausalConv1d
 from sysident.models import lstm_cell_step
@@ -44,11 +48,12 @@ class TestBuildModel:
     def test_tcn_dilation_factors(self):
         cfg = ModelConfig(family="tcn", depth=3, kernel_size=2, dilations=True)
         model = build_model(cfg, Rng(0))
-        assert model.dilation_factors == [1, 2, 4]
+        assert [b.dilation for b in model.blocks] == [1, 2, 4]
 
     def test_dilations_off(self):
         cfg = ModelConfig(family="tcn", depth=3, kernel_size=2, dilations=False)
-        assert build_model(cfg, Rng(0)).dilation_factors == [1, 1, 1]
+        model = build_model(cfg, Rng(0))
+        assert [b.dilation for b in model.blocks] == [1, 1, 1]
 
     def test_same_seed_same_parameters(self):
         cfg = ModelConfig(family="lstm", hidden=8, depth=2, dropout=0.2)
@@ -57,6 +62,28 @@ class TestBuildModel:
         assert set(a) == set(b)
         for name in a:
             assert np.array_equal(a[name], b[name])
+
+    @pytest.mark.parametrize("family,kw,names", [
+        ("tcn", dict(hidden=3, depth=2, norm="batch"),
+         ["blocks.0.conv1.W", "blocks.0.conv1.b", "blocks.0.bn1.gamma",
+          "blocks.0.bn1.beta", "blocks.0.conv2.W", "blocks.0.conv2.b",
+          "blocks.0.bn2.gamma", "blocks.0.bn2.beta", "blocks.0.skip.W",
+          "blocks.0.skip.b", "blocks.1.conv1.W", "blocks.1.conv1.b",
+          "blocks.1.bn1.gamma", "blocks.1.bn1.beta", "blocks.1.conv2.W",
+          "blocks.1.conv2.b", "blocks.1.bn2.gamma", "blocks.1.bn2.beta",
+          "head.W", "head.b"]),
+        ("mlp", dict(hidden=3, depth=2, order=4),
+         ["layers.0.W", "layers.0.b", "layers.2.W", "layers.2.b",
+          "head.W", "head.b"]),
+        ("lstm", dict(hidden=3, depth=2),
+         ["cells.0.Wx", "cells.0.Wh", "cells.0.b", "cells.1.Wx",
+          "cells.1.Wh", "cells.1.b", "head.W", "head.b"]),
+    ])
+    def test_parameter_names_and_order_are_pinned(self, family, kw, names):
+        # checkpoints store parameters under these names, in this order
+        model = build_model(ModelConfig(family=family, **kw), Rng(0))
+        assert [n for n, _ in model.named_parameters()] == names
+        assert [n for n, _ in model.named_grads()] == names
 
     def test_mlp_window_arithmetic(self):
         # order 2 with (u, y) channels stacks 4 values per regression vector
@@ -150,6 +177,13 @@ class TestFreeRun:
         u = Rng(11).gaussian(18)
         assert np.array_equal(simulate_free_run(model, u),
                               free_run_naive(model, u))
+
+    def test_y_init_channel_count_checked(self):
+        cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2)
+        model = build_model(cfg, Rng(12))
+        with pytest.raises(DimensionError, match="y_init"):
+            simulate_free_run(model, Rng(13).gaussian(15),
+                              y_init=Rng(14).gaussian((2, 15)))
 
     def test_measured_warm_start_history(self):
         cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2,
@@ -323,6 +357,30 @@ class TestCheckpoint:
         save_checkpoint(model, path, normalization=payload)
         _, norm = load_checkpoint(path)
         assert norm == payload
+
+    def _saved_batch_norm_doc(self, tmp_path):
+        model = build_model(ModelConfig(family="tcn", hidden=4, norm="batch"),
+                            Rng(26))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        return path, json.loads(path.read_text())
+
+    def test_unknown_state_entry_rejected(self, tmp_path):
+        path, doc = self._saved_batch_norm_doc(tmp_path)
+        doc["state"]["blocks.0.bn3.running_mean"] = \
+            doc["state"]["blocks.0.bn1.running_mean"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="state names"):
+            load_checkpoint(path)
+
+    def test_state_shape_mismatch_rejected(self, tmp_path):
+        path, doc = self._saved_batch_norm_doc(tmp_path)
+        one = np.array([7.0], dtype="<f8")
+        doc["state"]["blocks.0.bn1.running_mean"] = {
+            "shape": [1], "data": base64.b64encode(one.tobytes()).decode()}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"running_mean.*\(1,\)"):
+            load_checkpoint(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.json"

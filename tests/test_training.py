@@ -3,8 +3,7 @@ import pytest
 
 from sysident import (Adam, ModelConfig, NoiseSpec, PlateauScheduler, RMSprop,
                       Rng, SGDMomentum, TrainConfig, build_model,
-                      make_chen_dataset, mse_loss, reduce_lr_on_plateau, train,
-                      validation_loss)
+                      make_chen_dataset, mse_loss, train, validation_loss)
 from sysident.data import Dataset, SequenceRecord
 from sysident.errors import (ConfigError, DimensionError, NumericError,
                              TrainingDiverged)
@@ -137,10 +136,6 @@ class TestPlateauScheduler:
         sched = PlateauScheduler(1e-6, patience=1, factor=0.1, min_lr=1e-6)
         sched.update(1.0)
         assert sched.update(1.0) == 1e-6
-
-    def test_functional_replay(self):
-        losses = [1.0] + [1.0] * 10
-        assert reduce_lr_on_plateau(losses, 0.001, patience=10) == pytest.approx(1e-4)
 
 
 def linear_gain_dataset(num_records, length, seed, gain=0.5, role="training"):
@@ -280,16 +275,20 @@ class TestHistoryCsv:
         assert float(first[3]) == 0.001
 
     def test_deterministic_columns_exclude_seconds(self, tmp_path):
-        hist_path = tmp_path / "h.csv"
         ds = linear_gain_dataset(2, 30, seed=23)
         cfg = ModelConfig(family="tcn", narx=False, hidden=3, depth=1,
                           kernel_size=1)
-        model = build_model(cfg, Rng(24))
-        tc = TrainConfig(max_epochs=3, batch_size=2, subseq_len=30, seed=24)
-        _, hist = train(model, ds, None, tc)
-        hist.to_csv(hist_path, include_seconds=False)
-        lines = hist_path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,valid_loss,lr"
+        runs = []
+        for name in ("a.csv", "b.csv"):
+            model = build_model(cfg, Rng(24))
+            tc = TrainConfig(max_epochs=3, batch_size=2, subseq_len=30, seed=24)
+            _, hist = train(model, ds, None, tc)
+            hist.to_csv(tmp_path / name)
+            lines = (tmp_path / name).read_text().strip().splitlines()
+            assert lines[0].split(",")[-1] == "seconds"
+            runs.append([line.rsplit(",", 1)[0] for line in lines])
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "epoch,train_loss,valid_loss,lr"
 
 
 def test_train_config_validation():
