@@ -17,8 +17,8 @@ from sysident import (GridSpace, ModelConfig, NoiseSpec, TrainConfig,
 print(f"full toy-problem TCN sweep would cover {chen_tcn_space().size} "
       f"configurations; running a 6-point slice instead\n")
 
-train_set = make_chen_dataset(10, 100, NoiseSpec(0.3, 0.3, 0), seed=5)
-valid_set = make_chen_dataset(2, 100, NoiseSpec(0.3, 0.3, 0), seed=6,
+train_set = make_chen_dataset(10, 100, NoiseSpec(0.3, 0.3), seed=5)
+valid_set = make_chen_dataset(2, 100, NoiseSpec(0.3, 0.3), seed=6,
                               role="validation")
 
 space = GridSpace(axes={"hidden": [8, 16, 32], "depth": [1, 2]})

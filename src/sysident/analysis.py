@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UnsupportedError
+from .errors import DataError, DimensionError, ParameterError, UnsupportedError
+from .layers import Activation
 from .models import predict_one_step, receptive_field, simulate_free_run
 from .data import denormalize_output, normalize_dataset
 
@@ -60,6 +61,8 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     """
     if mode not in ("one-step", "free-run"):
         raise DataError(f"unknown evaluation mode '{mode}'")
+    if warmup < 0:
+        raise ParameterError(f"warmup must be >= 0, got {warmup}")
     model_data = dataset
     if normalization is not None:
         model_data = normalize_dataset(dataset, normalization)
@@ -96,14 +99,14 @@ class VolterraKernels:
 
 
 def _activation_derivatives(kind, b):
+    """sigma(b), sigma'(b) and sigma''(b), with the network's own sigma."""
+    if kind not in ("tanh", "sigmoid"):
+        raise UnsupportedError(
+            f"kernel extraction needs a smooth activation, got '{kind}'")
+    s = Activation(kind).apply(b)
     if kind == "tanh":
-        t = np.tanh(b)
-        return t, 1.0 - t * t, -2.0 * t * (1.0 - t * t)
-    if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-b))
-        return s, s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s)
-    raise UnsupportedError(
-        f"kernel extraction needs a smooth activation, got '{kind}'")
+        return s, 1.0 - s * s, -2.0 * s * (1.0 - s * s)
+    return s, s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def _fir_weights(model):

@@ -77,7 +77,7 @@ def cmd_generate(args):
         raise ConfigError(f"unknown system '{args.system}'")
     seed = _resolve_seed(args)
     os.makedirs(args.out, exist_ok=True)
-    noise = NoiseSpec(sigma_v=args.sigma_v, sigma_w=args.sigma_w, seed=seed)
+    noise = NoiseSpec(sigma_v=args.sigma_v, sigma_w=args.sigma_w)
     train_ds = make_chen_dataset(args.records, args.length, noise,
                                  seed=derive_seed(seed, "train"),
                                  hold=args.hold, role="training")
@@ -211,9 +211,14 @@ def cmd_gridsearch(args):
     seed = _resolve_seed(args)
     os.makedirs(args.out, exist_ok=True)
     with open(args.grid, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise ConfigError(f"grid file {args.grid} is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or "axes" not in doc:
+        raise ConfigError(f"grid file {args.grid} has no 'axes' entry")
     space = GridSpace(axes=doc["axes"])
-    base = ModelConfig.from_dict(doc["base"]) if "base" in doc else ModelConfig()
+    base = ModelConfig.from_dict(doc.get("base", {}))
     train_ds = _load_dataset(args.data, args, "training")
     valid_ds = _load_dataset(args.val, args, "validation")
     nu = train_ds.records[0].u.shape[0]

@@ -61,7 +61,6 @@ class NormConstants:
 class Dataset:
     records: list
     role: str = "training"
-    normalization: Optional[NormConstants] = None
 
     def __post_init__(self):
         if self.role not in ("training", "validation", "test"):
@@ -76,7 +75,6 @@ class Dataset:
 class NoiseSpec:
     sigma_v: float = 0.0   # process noise, enters the state recursion
     sigma_w: float = 0.0   # additive measurement noise
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma_v < 0 or self.sigma_w < 0:
@@ -259,14 +257,8 @@ def compute_norm_constants(dataset):
     return consts
 
 
-def normalize_dataset(dataset, constants=None):
-    """Affine per-channel transform using training-set statistics.
-
-    When ``constants`` is None they are computed from this dataset (which must
-    then be the training split); otherwise the given constants are applied.
-    """
-    if constants is None:
-        constants = compute_norm_constants(dataset)
+def normalize_dataset(dataset, constants):
+    """Affine per-channel transform with the training split's ``constants``."""
     records = []
     for rec in dataset.records:
         u = (rec.u - constants.u_mean[:, None]) / constants.u_scale[:, None]
@@ -276,7 +268,7 @@ def normalize_dataset(dataset, constants=None):
             clean = (rec.y_clean - constants.y_mean[:, None]) / constants.y_scale[:, None]
         records.append(SequenceRecord(u=u, y=y, y_clean=clean,
                                       sample_rate=rec.sample_rate))
-    return Dataset(records=records, role=dataset.role, normalization=constants)
+    return Dataset(records=records, role=dataset.role)
 
 
 def denormalize_output(yhat, constants):

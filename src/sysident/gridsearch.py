@@ -30,9 +30,11 @@ class GridSpace:
     axes: dict
 
     def __post_init__(self):
+        if not isinstance(self.axes, dict):
+            raise ConfigError(f"grid axes must be a mapping, got {self.axes!r}")
         for name, values in self.axes.items():
-            if not values:
-                raise ConfigError(f"grid axis '{name}' is empty")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"grid axis '{name}' must be a non-empty list")
 
     @property
     def size(self):
@@ -41,22 +43,16 @@ class GridSpace:
             n *= len(values)
         return n
 
-    def to_json(self):
-        return json.dumps({"axes": self.axes}, indent=1)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(axes=json.loads(text)["axes"])
-
 
 def grid_expand(space, base=None):
-    """All axis combinations as ModelConfigs, in lexicographic axis order."""
-    base = base if base is not None else ModelConfig()
+    """All axis combinations as ModelConfigs, in lexicographic axis order.
+
+    An axis that is not a ModelConfig field raises ConfigError.
+    """
+    base = (base if base is not None else ModelConfig()).to_dict()
     names = sorted(space.axes)
-    configs = []
-    for combo in product(*(space.axes[n] for n in names)):
-        configs.append(replace(base, **dict(zip(names, combo))))
-    return configs
+    return [ModelConfig.from_dict({**base, **dict(zip(names, combo))})
+            for combo in product(*(space.axes[n] for n in names))]
 
 
 # Appendix-style sweep definitions for the toy problem and the aircraft
@@ -280,14 +276,3 @@ def write_results_csv(rows, path):
         writer.writerow(GridRow._FIELDS)
         for row in rows:
             writer.writerow(row.to_csv_row())
-
-
-def load_results_csv(path):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for raw in reader:
-            if raw:
-                rows.append(GridRow.from_csv_row(raw))
-    return rows

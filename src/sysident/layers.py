@@ -102,8 +102,11 @@ class Layer:
             child.begin_stream(batch_size)
 
     def step(self, col):
-        """Evaluation-mode streaming: one (batch, channels) column in and out."""
-        raise NotImplementedError
+        """Evaluation-mode streaming: one (batch, channels, 1) column in and out.
+
+        A layer without memory of past columns runs its own ``forward``.
+        """
+        return self.forward(col, training=False)
 
 
 # layers applied in turn: the body of a residual block, a feed-forward model
@@ -229,8 +232,8 @@ class CausalConv1d(Layer):
     def step(self, col):
         buf = self._buf
         buf[:, :, :-1] = buf[:, :, 1:]
-        buf[:, :, -1] = col
-        return self.forward(buf, training=False)[:, :, -1]
+        buf[:, :, -1:] = col
+        return self.forward(buf, training=False)[:, :, -1:]
 
 
 def _sigmoid(x):
@@ -273,9 +276,6 @@ class Activation(Layer):
             return grad * self._out * (1.0 - self._out)
         return grad * (1.0 - self._out * self._out)
 
-    def step(self, col):
-        return self.apply(col)
-
 
 class Dropout(Layer):
     """Inverted dropout: train-time masking with 1/(1-p) rescale, eval identity."""
@@ -300,9 +300,6 @@ class Dropout(Layer):
         if self.mask is None:
             return grad
         return grad * self.mask
-
-    def step(self, col):
-        return col
 
 
 class BatchNorm(Layer):
@@ -351,22 +348,11 @@ class BatchNorm(Layer):
             xhat = (x - mu[None, :, None]) * inv[None, :, None]
             self._cache = ("train", xhat, inv, count)
             return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
-        out, xc, inv = self._eval_apply(x)
-        self._cache = ("eval", xc, inv, None)
-        return out
-
-    def _eval_apply(self, x):
-        # shared by batch forward and streaming step: identical expression
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        if x.ndim == 3:
-            xc = x - self.running_mean[None, :, None]
-            out = self.params["gamma"][None, :, None] * (xc * inv[None, :, None]) \
-                + self.params["beta"][None, :, None]
-        else:
-            xc = x - self.running_mean[None, :]
-            out = self.params["gamma"][None, :] * (xc * inv[None, :]) \
-                + self.params["beta"][None, :]
-        return out, xc, inv
+        xc = x - self.running_mean[None, :, None]
+        self._cache = ("eval", xc, inv, None)
+        return self.params["gamma"][None, :, None] * (xc * inv[None, :, None]) \
+            + self.params["beta"][None, :, None]
 
     def backward(self, grad):
         mode, cached, inv, count = self._cache
@@ -382,9 +368,6 @@ class BatchNorm(Layer):
         m1 = dxhat.mean(axis=(0, 2))
         m2 = (dxhat * xhat).mean(axis=(0, 2))
         return inv[None, :, None] * (dxhat - m1[None, :, None] - xhat * m2[None, :, None])
-
-    def step(self, col):
-        return self._eval_apply(col)[0]
 
 
 class ResidualBlock(Layer):

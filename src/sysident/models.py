@@ -14,7 +14,7 @@ a receptive-field-sized input window.
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"a model configuration must be a mapping, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model configuration keys: {unknown}")
         return cls(**d)
 
 
@@ -285,9 +290,9 @@ class LSTMNet(_SequenceModel):
         self._stream_state = self.init_state(batch_size)
 
     def step(self, col):
-        top = self._step_stack(col, self._stream_state, training=False,
-                               record=False)
-        return self.head.step(top)
+        top = self._step_stack(col[:, :, 0], self._stream_state,
+                               training=False, record=False)
+        return self.head.step(top[:, :, None])
 
 
 def build_model(config, rng):
@@ -371,19 +376,17 @@ def simulate_free_run(model, u, y_init=None):
     yhat = np.zeros((c.ny, t_len))
     init_len = 0 if y_init is None else y_init.shape[1]
     model.begin_stream(1)
-    col = np.zeros((1, c.in_channels))
+    col = np.zeros((1, c.in_channels, 1))
     for k in range(t_len):
         # feed x[k-1]; the model emits the prediction of y[k]
-        if k == 0:
-            col[:] = 0.0
-        else:
-            col[0, :c.nu] = u[:, k - 1]
+        if k > 0:
+            col[0, :c.nu, 0] = u[:, k - 1]
             if c.narx:
                 if k - 1 < init_len:
-                    col[0, c.nu:] = y_init[:, k - 1]
+                    col[0, c.nu:, 0] = y_init[:, k - 1]
                 else:
-                    col[0, c.nu:] = yhat[:, k - 1]
-        yhat[:, k] = model.step(col)[0]
+                    col[0, c.nu:, 0] = yhat[:, k - 1]
+        yhat[:, k] = model.step(col)[0, :, 0]
     return yhat
 
 
@@ -449,8 +452,11 @@ def save_checkpoint(model, path, normalization=None):
 def load_checkpoint(path):
     """Rebuild a model (plus optional normalization dict) from a checkpoint file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise DataError(f"checkpoint {path} is not a JSON document: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a model checkpoint: {path}")
     model = build_model(ModelConfig.from_dict(doc["config"]), Rng(0))
     _load_arrays("parameter", dict(model.named_parameters()), doc["params"])
@@ -463,7 +469,11 @@ def _load_arrays(kind, arrays, entries):
     if set(arrays) != set(entries):
         raise DataError(f"checkpoint {kind} names do not match the configuration")
     for name, entry in entries.items():
-        arr = _decode_array(entry)
+        try:
+            arr = _decode_array(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {kind} '{name}' cannot be decoded: "
+                            f"{exc}") from None
         if arr.shape != arrays[name].shape:
             raise DataError(f"checkpoint {kind} '{name}' has shape "
                             f"{arr.shape}, expected {arrays[name].shape}")

@@ -51,9 +51,6 @@ class Rng:
     def random(self, shape):
         return self._gen.random(size=shape)
 
-    def integers(self, low, high):
-        return int(self._gen.integers(low, high))
-
     def permutation(self, n):
         return self._gen.permutation(n)
 

@@ -15,10 +15,8 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      TrainingDiverged)
-from .models import receptive_field, shift_right, stack_model_input
+from .models import predict_one_step, shift_right, stack_model_input
 from .tensor import Rng
-
-OPTIMIZERS = ("adam", "rmsprop", "sgd_momentum")
 
 
 @dataclass
@@ -26,20 +24,13 @@ class TrainConfig:
     lr: float = 0.001
     plateau_patience: int = 10
     lr_factor: float = 0.1
-    min_lr: float = 1e-6
     early_stop_patience: int = 30
     max_epochs: int = 300
     batch_size: int = 32
     subseq_len: int = 100
     seed: int = 0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    rms_decay: float = 0.9
-    momentum: float = 0.9
-    mask_warmup: bool = False   # exclude the first receptive_field-1 samples
-    shuffle: bool = True        # of each subsequence from the loss
+    shuffle: bool = True
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -50,6 +41,11 @@ class TrainConfig:
             raise ConfigError("patience values must be >= 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max epochs must be >= 1, got {self.max_epochs}")
+        if self.subseq_len < 2:
+            raise ConfigError(
+                f"subsequence length must be >= 2, got {self.subseq_len}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer '{self.optimizer}'")
 
@@ -137,13 +133,11 @@ class SGDMomentum(_Optimizer):
         param -= self.lr * vel
 
 
+OPTIMIZERS = {"adam": Adam, "rmsprop": RMSprop, "sgd_momentum": SGDMomentum}
+
+
 def make_optimizer(model, config):
-    params = list(model.named_parameters())
-    if config.optimizer == "adam":
-        return Adam(params, config.lr, config.beta1, config.beta2, config.eps)
-    if config.optimizer == "rmsprop":
-        return RMSprop(params, config.lr, config.rms_decay, config.eps)
-    return SGDMomentum(params, config.lr, config.momentum)
+    return OPTIMIZERS[config.optimizer](model.named_parameters(), config.lr)
 
 
 class PlateauScheduler:
@@ -234,36 +228,15 @@ def _batches(windows, order, batch_size):
         yield pending[t_len]
 
 
-def _loss_mask(model, config, shape):
-    if not config.mask_warmup or model.config.family == "lstm":
-        return None
-    warm = min(receptive_field(model) - 1, shape[2])
-    if warm == 0:
-        return None
-    mask = np.ones(shape)
-    mask[:, :, :warm] = 0.0
-    return mask
-
-
-def _masked_mse(out, target, mask):
-    if mask is None:
-        loss, grad = mse_loss(out, target)
-        return loss, grad, out.size
-    diff = (out - target) * mask
-    count = mask.sum()
-    loss = float(np.sum(diff * diff) / count)
-    grad = (2.0 / count) * diff
-    return loss, grad, count
-
-
 def validation_loss(model, dataset):
-    """One-step-ahead MSE over all records of a dataset (evaluation mode)."""
+    """One-step-ahead MSE over every sample of every record (evaluation mode).
+
+    Training scores every sample of its subsequences too, warm-up included.
+    """
     total = 0.0
     count = 0
     for record in dataset.records:
-        x = shift_right(stack_model_input(record, model.config.narx))
-        out = model.forward(x[None], training=False)[0]
-        diff = out - record.y
+        diff = predict_one_step(model, record) - record.y
         total += float(np.sum(diff * diff))
         count += diff.size
     if count == 0:
@@ -296,7 +269,7 @@ def train(model, train_set, valid_set, config):
     shuffle_rng = Rng(config.seed).split()
     optimizer = make_optimizer(model, config)
     scheduler = PlateauScheduler(config.lr, config.plateau_patience,
-                                 config.lr_factor, config.min_lr)
+                                 config.lr_factor)
     history = TrainHistory()
     best_loss = np.inf
     best_snapshot = None
@@ -315,15 +288,14 @@ def train(model, train_set, valid_set, config):
             target = np.stack([windows[i][1] for i in batch_idx])
             model.zero_grads()
             out = model.forward(x, training=True)
-            loss, grad, count = _masked_mse(out, target,
-                                            _loss_mask(model, config, out.shape))
+            loss, grad = mse_loss(out, target)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"training loss became non-finite at epoch {epoch}", history)
             model.backward(grad)
             optimizer.step(model.named_grads())
-            sq_sum += loss * count
-            n_elems += count
+            sq_sum += loss * out.size
+            n_elems += out.size
         train_loss = sq_sum / n_elems
         valid = validation_loss(model, valid_set) if valid_set is not None else None
         monitored = train_loss if valid is None else valid

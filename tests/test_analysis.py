@@ -4,7 +4,7 @@ import pytest
 from sysident import (ModelConfig, NoiseSpec, Rng, build_model, error_spectrum,
                       evaluate, extract_volterra_kernels, fd_volterra_oracle,
                       make_chen_dataset, rmse)
-from sysident.errors import DataError, UnsupportedError
+from sysident.errors import DataError, ParameterError, UnsupportedError
 
 
 class TestRmse:
@@ -189,7 +189,7 @@ class TestErrorSpectrum:
 
 class TestEvaluate:
     def test_report_fields_and_modes(self):
-        ds = make_chen_dataset(2, 40, NoiseSpec(0.1, 0.1, 0), seed=22,
+        ds = make_chen_dataset(2, 40, NoiseSpec(0.1, 0.1), seed=22,
                                role="validation")
         cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2,
                           activation="tanh")
@@ -203,9 +203,15 @@ class TestEvaluate:
         assert free.mode == "free-run"
         assert free.sample_count == 80
 
+    def test_negative_warmup_rejected(self):
+        ds = make_chen_dataset(1, 30, NoiseSpec(0.1, 0.1), seed=26)
+        model = build_model(ModelConfig(family="mlp", hidden=4), Rng(27))
+        with pytest.raises(ParameterError, match="warmup"):
+            evaluate(model, ds, warmup=-5)
+
     def test_json_round_trip(self):
         import json
-        ds = make_chen_dataset(1, 30, NoiseSpec(0.0, 0.0, 0), seed=24)
+        ds = make_chen_dataset(1, 30, NoiseSpec(0.0, 0.0), seed=24)
         cfg = ModelConfig(family="mlp", hidden=4, order=2)
         model = build_model(cfg, Rng(25))
         rep = evaluate(model, ds, mode="one-step")

@@ -85,6 +85,20 @@ class TestTrain:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--epochs", 0), "max epochs"),
+        (("--subseq-len", 0), "subsequence length"),
+        (("--subseq-len", 1), "subsequence length"),
+    ], ids=["epochs_0", "subseq_len_0", "subseq_len_1"])
+    def test_bad_training_numbers_exit_2(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 40, seed=6)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--hidden", 3, *flags,
+                       "--seed", 6, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
     def test_family_dispatch(self, tmp_path, family):
         data = tmp_path / "train.csv"
@@ -158,6 +172,28 @@ class TestEval:
                        "--out", tmp_path / "o") == 2
         assert "state names" in capsys.readouterr().err
 
+    def test_negative_warmup_exit_2(self, tmp_path, capsys):
+        ckpt, data = self._oracle_setup(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--warmup", -5, "--out", out) == 2
+        assert "warmup" in capsys.readouterr().err
+        assert not (out / "report_one_step.json").exists()
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda text: text[:len(text) // 2], "not a JSON document"),
+        (lambda text: text.replace('"family"', '"famly"', 1), "famly"),
+        (lambda text: text.replace('"data": "', '"data": "AAAA', 1),
+         "cannot be decoded"),
+    ], ids=["not_json", "unknown_config_key", "payload_length"])
+    def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, corrupt,
+                                         message):
+        ckpt, data = self._oracle_setup(tmp_path)
+        ckpt.write_text(corrupt(ckpt.read_text()))
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+
     def test_predicts_each_record_once_per_mode(self, tmp_path, monkeypatch):
         model = u_channel_model()
         ckpt = tmp_path / "ckpt.json"
@@ -199,6 +235,27 @@ class TestGridsearch:
         assert len(lines) == 7   # header + 6 rows
         best = json.loads((out / "best.json").read_text())
         assert best["config"]["family"] == "tcn"
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"axes": {"hidden": [2]}, "base": {"famly": "tcn"}}', "famly"),
+        ('{"axes": {"hidden": [2]}, "base": ["tcn"]}', "must be a mapping"),
+        ('{"axes": {"hiden": [2]}}', "hiden"),
+        ('{"axes": {"hidden": 2}}', "non-empty list"),
+        ('{"axes": ["hidden"]}', "must be a mapping"),
+        ('{"base": {"family": "tcn"}}', "no 'axes'"),
+        ('{"axes": {"hidden": [2]', "not JSON"),
+    ], ids=["unknown_base_field", "base_not_a_mapping", "unknown_axis",
+            "axis_not_a_list", "axes_not_a_mapping", "missing_axes",
+            "not_json"])
+    def test_malformed_grid_file_exit_2(self, tmp_path, capsys, text, message):
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 30, seed=9)
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        assert run_cli("gridsearch", "--grid", grid, "--data", data,
+                       "--val", data, "--epochs", 1, "--seed", 11,
+                       "--out", tmp_path / "sweep") == 2
+        assert message in capsys.readouterr().err
 
     def test_corrupt_journal_exit_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"

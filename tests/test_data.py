@@ -11,7 +11,7 @@ from sysident.data import (Dataset, SequenceRecord, compute_norm_constants,
 from sysident.errors import (DataError, NumericError, ParameterError,
                              SchemaError)
 
-NO_NOISE = NoiseSpec(0.0, 0.0, 0)
+NO_NOISE = NoiseSpec(0.0, 0.0)
 
 
 class TestSimulateChen:
@@ -39,7 +39,7 @@ class TestSimulateChen:
         assert rec.y[0, 2] == pytest.approx(state_part + 1.3, abs=1e-15)
 
     def test_bit_reproducible(self):
-        noise = NoiseSpec(0.3, 0.3, 0)
+        noise = NoiseSpec(0.3, 0.3)
         u = generate_held_gaussian_input(200, 5, Rng(1))
         a = simulate_chen(u, noise, Rng(2))
         b = simulate_chen(u, noise, Rng(2))
@@ -87,7 +87,7 @@ class TestHeldGaussianInput:
 
 class TestMakeChenDataset:
     def test_sample_count(self):
-        ds = make_chen_dataset(20, 100, NoiseSpec(0.3, 0.3, 0), seed=1)
+        ds = make_chen_dataset(20, 100, NoiseSpec(0.3, 0.3), seed=1)
         assert len(ds.records) == 20
         assert ds.num_samples == 2000
 
@@ -108,8 +108,8 @@ class TestMakeChenDataset:
         assert np.mean(corrs) < 0.2
 
     def test_reproducible(self):
-        a = make_chen_dataset(2, 30, NoiseSpec(0.1, 0.1, 0), seed=4)
-        b = make_chen_dataset(2, 30, NoiseSpec(0.1, 0.1, 0), seed=4)
+        a = make_chen_dataset(2, 30, NoiseSpec(0.1, 0.1), seed=4)
+        b = make_chen_dataset(2, 30, NoiseSpec(0.1, 0.1), seed=4)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.y, rb.y)
 
@@ -159,7 +159,7 @@ class TestCsvRoundTrip:
             load_csv_dataset(tmp_path / "nope.csv")
 
     def test_save_load_exact_round_trip(self, tmp_path):
-        ds = make_chen_dataset(3, 40, NoiseSpec(0.3, 0.3, 0), seed=5)
+        ds = make_chen_dataset(3, 40, NoiseSpec(0.3, 0.3), seed=5)
         path = tmp_path / "chen.csv"
         save_csv_dataset(ds, path)
         loaded = load_csv_dataset(path, role="training")
@@ -185,7 +185,7 @@ class TestNormalization:
         u = (recs[0].u - recs[0].u.mean()) / recs[0].u.std()
         y = (recs[0].y - recs[0].y.mean()) / recs[0].y.std()
         ds = Dataset(records=[SequenceRecord(u=u, y=y)])
-        out = normalize_dataset(ds)
+        out = normalize_dataset(ds, compute_norm_constants(ds))
         assert np.allclose(out.records[0].u, u, atol=1e-12)
         assert np.allclose(out.records[0].y, y, atol=1e-12)
 
@@ -193,7 +193,7 @@ class TestNormalization:
         rng = Rng(12)
         u = rng.gaussian(500) + 7.0
         ds = Dataset(records=[SequenceRecord(u=u, y=rng.gaussian(500))])
-        out = normalize_dataset(ds)
+        out = normalize_dataset(ds, compute_norm_constants(ds))
         assert abs(out.records[0].u.mean()) < 1e-12
 
     def test_validation_uses_training_constants(self):
@@ -204,7 +204,7 @@ class TestNormalization:
                         role="validation")
         consts = compute_norm_constants(train)
         out = normalize_dataset(valid, consts)
-        own = normalize_dataset(valid)
+        own = normalize_dataset(valid, compute_norm_constants(valid))
         # transformed with foreign constants: mean stays away from 0
         assert abs(out.records[0].u.mean()) > 0.5
         assert abs(own.records[0].u.mean()) < 1e-12
@@ -214,14 +214,15 @@ class TestNormalization:
         rec = SequenceRecord(u=rng.gaussian(300, mean=2.0, std=4.0),
                              y=rng.gaussian(300, mean=-1.0, std=0.5))
         ds = Dataset(records=[rec])
-        out = normalize_dataset(ds)
-        back = denormalize_output(out.records[0].y, out.normalization)
+        consts = compute_norm_constants(ds)
+        out = normalize_dataset(ds, consts)
+        back = denormalize_output(out.records[0].y, consts)
         assert np.allclose(back, rec.y, atol=1e-12)
 
     def test_zero_variance_channel_rejected(self):
         ds = Dataset(records=[SequenceRecord(u=np.ones(50), y=Rng(18).gaussian(50))])
         with pytest.raises(DataError, match="zero-variance"):
-            normalize_dataset(ds)
+            compute_norm_constants(ds)
 
 
 def test_noise_spec_validation():

@@ -1,0 +1,21 @@
+"""Every demo script runs to completion against this checkout's sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr

@@ -382,6 +382,28 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=r"running_mean.*\(1,\)"):
             load_checkpoint(path)
 
+    def test_not_json_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(build_model(ModelConfig(family="tcn"), Rng(27)), path)
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(DataError, match="ckpt.json"):
+            load_checkpoint(path)
+
+    def test_payload_length_mismatch_rejected(self, tmp_path):
+        path, doc = self._saved_batch_norm_doc(tmp_path)
+        entry = doc["params"]["blocks.0.conv1.b"]
+        entry["data"] = base64.b64encode(b"\0" * 12).decode()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="'blocks.0.conv1.b'"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path, doc = self._saved_batch_norm_doc(tmp_path)
+        doc["config"]["widht"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="widht"):
+            load_checkpoint(path)
+
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "other"}')

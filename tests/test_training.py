@@ -3,7 +3,8 @@ import pytest
 
 from sysident import (Adam, ModelConfig, NoiseSpec, PlateauScheduler, RMSprop,
                       Rng, SGDMomentum, TrainConfig, build_model,
-                      make_chen_dataset, mse_loss, train, validation_loss)
+                      make_chen_dataset, mse_loss, predict_one_step, train,
+                      validation_loss)
 from sysident.data import Dataset, SequenceRecord
 from sysident.errors import (ConfigError, DimensionError, NumericError,
                              TrainingDiverged)
@@ -166,8 +167,8 @@ class TestTrain:
         assert abs((probe_hi - probe_lo) / 2.0 - 0.5) < 1e-3
 
     def test_two_seeded_runs_identical(self):
-        ds = make_chen_dataset(4, 50, NoiseSpec(0.2, 0.2, 0), seed=6)
-        vs = make_chen_dataset(2, 50, NoiseSpec(0.2, 0.2, 0), seed=7,
+        ds = make_chen_dataset(4, 50, NoiseSpec(0.2, 0.2), seed=6)
+        vs = make_chen_dataset(2, 50, NoiseSpec(0.2, 0.2), seed=7,
                                role="validation")
         cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2,
                           dropout=0.2, norm="batch")
@@ -183,8 +184,8 @@ class TestTrain:
 
     def test_early_stopping_restores_best_epoch(self):
         # one tiny record: the model overfits and validation loss turns up
-        ds = make_chen_dataset(1, 30, NoiseSpec(0.5, 0.5, 0), seed=9)
-        vs = make_chen_dataset(2, 60, NoiseSpec(0.5, 0.5, 0), seed=10,
+        ds = make_chen_dataset(1, 30, NoiseSpec(0.5, 0.5), seed=9)
+        vs = make_chen_dataset(2, 60, NoiseSpec(0.5, 0.5), seed=10,
                                role="validation")
         cfg = ModelConfig(family="mlp", hidden=32, order=4)
         model = build_model(cfg, Rng(11))
@@ -196,8 +197,24 @@ class TestTrain:
         assert validation_loss(model, vs) == pytest.approx(
             min(hist.valid_loss), rel=1e-12)
 
+    def test_validation_scores_every_sample_of_every_record(self):
+        # records of unequal length, warm-up samples included: the mean over
+        # all samples, not over records, and no receptive-field mask
+        records = [r for n, seed in ((30, 31), (45, 32), (60, 33))
+                   for r in make_chen_dataset(1, n, NoiseSpec(0.2, 0.2),
+                                              seed=seed).records]
+        vs = Dataset(records=records, role="validation")
+        cfg = ModelConfig(family="tcn", hidden=4, depth=2, kernel_size=3,
+                          dilations=True, norm="batch")
+        model = build_model(cfg, Rng(34))
+        sq = np.concatenate([(predict_one_step(model, r) - r.y).ravel() ** 2
+                             for r in records])
+        assert sq.size == 135
+        assert validation_loss(model, vs) == pytest.approx(np.mean(sq),
+                                                           rel=1e-15)
+
     def test_descent_on_first_epochs_with_small_lr(self):
-        ds = make_chen_dataset(4, 50, NoiseSpec(0.1, 0.1, 0), seed=12)
+        ds = make_chen_dataset(4, 50, NoiseSpec(0.1, 0.1), seed=12)
         cfg = ModelConfig(family="tcn", hidden=6, depth=1, kernel_size=2,
                           activation="tanh")
         model = build_model(cfg, Rng(13))
@@ -207,7 +224,7 @@ class TestTrain:
         assert hist.train_loss[-1] < hist.train_loss[0]
 
     def test_full_batch_gradient_permutation_invariant(self):
-        ds = make_chen_dataset(6, 40, NoiseSpec(0.1, 0.1, 0), seed=14)
+        ds = make_chen_dataset(6, 40, NoiseSpec(0.1, 0.1), seed=14)
         cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2,
                           activation="tanh")
         from sysident.models import stack_model_input, shift_right
@@ -238,7 +255,7 @@ class TestTrain:
         model = build_model(cfg, Rng(17))
         # absurd learning rate forces the loss to overflow
         tc = TrainConfig(max_epochs=50, batch_size=2, subseq_len=30, seed=17,
-                         lr=1e25, optimizer="sgd_momentum", momentum=0.0)
+                         lr=1e25, optimizer="sgd_momentum")
         with pytest.raises(TrainingDiverged) as err:
             train(model, ds, None, tc)
         assert err.value.history is not None
@@ -298,3 +315,7 @@ def test_train_config_validation():
         TrainConfig(lr_factor=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="adagrad")
+    with pytest.raises(ConfigError, match="max epochs"):
+        TrainConfig(max_epochs=0)
+    with pytest.raises(ConfigError, match="subsequence length"):
+        TrainConfig(subseq_len=1)
