@@ -58,6 +58,7 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     prediction and the predictions mapped back, so the report stays in the
     data's original units. ``warmup`` samples are dropped from the start of
     each record before scoring; the report keeps the whole-record predictions.
+    Free-run simulates the records of each length as one batch.
     """
     if mode not in ("one-step", "free-run"):
         raise DataError(f"unknown evaluation mode '{mode}'")
@@ -66,15 +67,22 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     model_data = dataset
     if normalization is not None:
         model_data = normalize_dataset(dataset, normalization)
-    preds = []
-    for rec in model_data.records:
-        if mode == "one-step":
-            yhat = predict_one_step(model, rec)
-        else:
-            yhat = simulate_free_run(model, rec.u)
-        if normalization is not None:
-            yhat = denormalize_output(yhat, normalization)
-        preds.append(yhat)
+    records = model_data.records
+    if mode == "one-step":
+        preds = [predict_one_step(model, rec) for rec in records]
+    else:
+        # one batched simulation per record length; padding would simulate
+        # a tail that the shorter records do not have
+        preds = [None] * len(records)
+        by_length = {}
+        for i, rec in enumerate(records):
+            by_length.setdefault(rec.length, []).append(i)
+        for group in by_length.values():
+            yhat = simulate_free_run(model, np.stack([records[i].u for i in group]))
+            for i, row in zip(group, yhat):
+                preds[i] = row
+    if normalization is not None:
+        preds = [denormalize_output(p, normalization) for p in preds]
     scored = [p[:, warmup:] for p in preds]
     per_channel, mean = rmse(
         np.concatenate(scored, axis=1),

@@ -194,17 +194,47 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
     y = np.asarray(y_rows).T
     sample_rate = None
     segments = None
-    if os.path.exists(_meta_path(path)):
-        with open(_meta_path(path), encoding="utf-8") as fh:
-            meta = json.load(fh)
+    meta_path = _meta_path(path)
+    if os.path.exists(meta_path):
+        with open(meta_path, encoding="utf-8") as fh:
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8 text
+                raise DataError(f"sidecar {meta_path} is not a JSON document: "
+                                f"{exc}") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"sidecar {meta_path} is not a JSON object")
         sample_rate = meta.get("sample_rate")
         segments = meta.get("segments")
+        if segments is not None:
+            _check_segments(segments, u.shape[1], meta_path)
     if segments:
         records = [SequenceRecord(u=u[:, a:b], y=y[:, a:b],
                                   sample_rate=sample_rate) for a, b in segments]
     else:
         records = [SequenceRecord(u=u, y=y, sample_rate=sample_rate)]
     return Dataset(records=records, role=role)
+
+
+def _check_segments(segments, rows, meta_path):
+    """Segments must be ordered, non-overlapping [start, stop) pairs of rows."""
+    if not isinstance(segments, list):
+        raise DataError(f"sidecar {meta_path}: segments must be a list of "
+                        f"[start, stop] pairs, got {segments!r}")
+    prev_stop = 0
+    for seg in segments:
+        if not (isinstance(seg, list) and len(seg) == 2
+                and all(type(v) is int for v in seg)):
+            raise DataError(f"sidecar {meta_path}: segment {seg!r} is not a "
+                            f"[start, stop] pair of integers")
+        start, stop = seg
+        if not 0 <= start < stop <= rows:
+            raise DataError(f"sidecar {meta_path}: segment {seg} breaks "
+                            f"0 <= start < stop <= {rows} (data rows)")
+        if start < prev_stop:
+            raise DataError(f"sidecar {meta_path}: segment {seg} overlaps or "
+                            f"precedes the segment before it")
+        prev_stop = stop
 
 
 def save_csv_dataset(dataset, path):

@@ -8,8 +8,8 @@ output channels, x[k] = (u[k], y[k]); in FIR mode x carries u only.
 ``predict_one_step`` feeds measured data shifted right by one sample (zero
 history at the start), so its output aligns index-for-index with y.
 ``simulate_free_run`` replaces the measured outputs in the feedback channels
-with the model's own past predictions, evaluating one time step at a time on
-a receptive-field-sized input window.
+with the model's own past predictions, evaluating one time step at a time for
+a whole batch of records; each layer keeps only the state that step needs.
 """
 
 import base64
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, UnsupportedError
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
                      Dropout, Layer, ResidualBlock, _sigmoid, chain_backward,
-                     chain_forward, chain_step)
+                     chain_forward, chain_step, stream_array)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
@@ -78,8 +78,8 @@ class _SequenceModel(Layer):
     """Shared plumbing: the configuration plus per-layer streaming.
 
     ``begin_stream`` resets the ring buffers (or recurrent state) of every
-    child layer; ``step`` then advances the whole model one time step at a
-    cost proportional to the receptive field.
+    child layer; ``step`` then advances the whole model one time step,
+    computing only each layer's new output column.
     """
 
     def __init__(self, config):
@@ -359,35 +359,49 @@ def predict_one_step(model, record):
 def simulate_free_run(model, u, y_init=None):
     """Free-run simulation: past measured outputs replaced by past predictions.
 
-    ``y_init`` optionally supplies measured outputs for the first columns of
-    the feedback channels (zero-padded when absent or shorter than the
-    receptive field). Ignored in FIR mode.
+    ``u`` is one record, (nu, T) or 1-D, or a batch of equally long records,
+    (B, nu, T); the output, (ny, T) or (B, ny, T), has the same rank. One
+    streaming time step advances every record of the batch. ``y_init``,
+    (ny, T0) or (B, ny, T0), optionally supplies measured outputs for the
+    first columns of the feedback channels (zero-padded when absent or
+    shorter than the receptive field). Ignored in FIR mode. A batched row
+    equals the one-record run bit for bit, except for the LSTM: BLAS may sum
+    a one-row gate product in another order than a many-row one.
     """
     c = model.config
     u = np.asarray(u, dtype=np.float64)
+    batched = u.ndim == 3
     if u.ndim == 1:
         u = u[None, :]
-    if u.shape[0] != c.nu:
-        raise DimensionError(f"expected {c.nu} input channels, got {u.shape[0]}")
-    if y_init is not None and (y_init.ndim != 2 or y_init.shape[0] != c.ny):
-        raise DimensionError(f"y_init must have shape ({c.ny}, time), "
-                             f"got {y_init.shape}")
-    t_len = u.shape[1]
-    yhat = np.zeros((c.ny, t_len))
-    init_len = 0 if y_init is None else y_init.shape[1]
-    model.begin_stream(1)
-    col = np.zeros((1, c.in_channels, 1))
+    if u.ndim == 2:
+        u = u[None]
+    if u.ndim != 3 or u.shape[1] != c.nu:
+        raise DimensionError(f"u must have shape ({c.nu}, time) or "
+                             f"(batch, {c.nu}, time), got {u.shape}")
+    b_sz, _, t_len = u.shape
+    init_len = 0
+    if y_init is not None:
+        y_init = np.asarray(y_init, dtype=np.float64)
+        if y_init.ndim == 2:
+            y_init = y_init[None]
+        if y_init.ndim != 3 or y_init.shape[:2] != (b_sz, c.ny):
+            raise DimensionError(f"y_init must have shape ({c.ny}, time) or "
+                                 f"({b_sz}, {c.ny}, time), got {y_init.shape}")
+        init_len = y_init.shape[2]
+    yhat = np.zeros((b_sz, c.ny, t_len))
+    model.begin_stream(b_sz)
+    col = stream_array(b_sz, c.in_channels, 1)
     for k in range(t_len):
         # feed x[k-1]; the model emits the prediction of y[k]
         if k > 0:
-            col[0, :c.nu, 0] = u[:, k - 1]
+            col[:, :c.nu, 0] = u[:, :, k - 1]
             if c.narx:
                 if k - 1 < init_len:
-                    col[0, c.nu:, 0] = y_init[:, k - 1]
+                    col[:, c.nu:, 0] = y_init[:, :, k - 1]
                 else:
-                    col[0, c.nu:, 0] = yhat[:, k - 1]
-        yhat[:, k] = model.step(col)[0, :, 0]
-    return yhat
+                    col[:, c.nu:, 0] = yhat[:, :, k - 1]
+        yhat[:, :, k] = model.step(col)[:, :, 0]
+    return yhat if batched else yhat[0]
 
 
 def free_run_naive(model, u, y_init=None):
@@ -458,6 +472,12 @@ def load_checkpoint(path):
             raise DataError(f"checkpoint {path} is not a JSON document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a model checkpoint: {path}")
+    for key in ("config", "params"):
+        if key not in doc:
+            raise DataError(f"checkpoint {path} has no '{key}' entry")
+    for key in ("params", "state"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DataError(f"checkpoint {path}: '{key}' is not a mapping")
     model = build_model(ModelConfig.from_dict(doc["config"]), Rng(0))
     _load_arrays("parameter", dict(model.named_parameters()), doc["params"])
     _load_arrays("state", dict(model.named_state()), doc.get("state", {}))

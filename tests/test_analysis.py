@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sysident import (ModelConfig, NoiseSpec, Rng, build_model, error_spectrum,
-                      evaluate, extract_volterra_kernels, fd_volterra_oracle,
-                      make_chen_dataset, rmse)
+from sysident import (Dataset, ModelConfig, NoiseSpec, Rng, SequenceRecord,
+                      build_model, error_spectrum, evaluate,
+                      extract_volterra_kernels, fd_volterra_oracle,
+                      make_chen_dataset, rmse, simulate_free_run)
 from sysident.errors import DataError, ParameterError, UnsupportedError
 
 
@@ -202,6 +203,20 @@ class TestEvaluate:
         free = evaluate(model, ds, mode="free-run")
         assert free.mode == "free-run"
         assert free.sample_count == 80
+
+    def test_free_run_of_unequal_records_in_record_order(self):
+        rng = Rng(28)
+        records = [SequenceRecord(u=rng.gaussian(n), y=rng.gaussian(n))
+                   for n in (18, 11, 18)]
+        cfg = ModelConfig(family="tcn", hidden=4, depth=2, kernel_size=2,
+                          dilations=True, activation="tanh")
+        model = build_model(cfg, Rng(29))
+        rep = evaluate(model, Dataset(records=records, role="test"),
+                       mode="free-run")
+        assert rep.sample_count == 47
+        assert [p.shape for p in rep.predictions] == [(1, 18), (1, 11), (1, 18)]
+        for pred, rec in zip(rep.predictions, records):
+            assert pred.tobytes() == simulate_free_run(model, rec.u).tobytes()
 
     def test_negative_warmup_rejected(self):
         ds = make_chen_dataset(1, 30, NoiseSpec(0.1, 0.1), seed=26)

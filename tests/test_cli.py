@@ -185,7 +185,11 @@ class TestEval:
         (lambda text: text.replace('"family"', '"famly"', 1), "famly"),
         (lambda text: text.replace('"data": "', '"data": "AAAA', 1),
          "cannot be decoded"),
-    ], ids=["not_json", "unknown_config_key", "payload_length"])
+        (lambda text: text.replace('"params"', '"parameters"', 1), "'params'"),
+        (lambda text: text.replace('"config"', '"configuration"', 1),
+         "'config'"),
+    ], ids=["not_json", "unknown_config_key", "payload_length",
+            "missing_params", "missing_config"])
     def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, corrupt,
                                          message):
         ckpt, data = self._oracle_setup(tmp_path)
@@ -194,6 +198,21 @@ class TestEval:
                        "--out", tmp_path / "o") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar,message", [
+        ('{"segments": [[0, 100]]}', "0 <= start < stop <= 40"),
+        ("{broken", "not a JSON document"),
+        ('[[0, 40]]', "not a JSON object"),
+    ], ids=["segment_past_end", "not_json", "not_a_mapping"])
+    def test_malformed_sidecar_exit_2(self, tmp_path, capsys, sidecar, message):
+        ckpt, _ = self._oracle_setup(tmp_path)
+        data = tmp_path / "one.csv"
+        write_linear_dataset(data, 1, 40, seed=17)
+        (tmp_path / "one.csv.meta.json").write_text(sidecar)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "one.csv.meta.json" in err and message in err
+
     def test_predicts_each_record_once_per_mode(self, tmp_path, monkeypatch):
         model = u_channel_model()
         ckpt = tmp_path / "ckpt.json"
@@ -201,19 +220,25 @@ class TestEval:
         data = tmp_path / "three.csv"
         write_linear_dataset(data, 3, 40, seed=16)
         calls = {"simulate_free_run": 0, "predict_one_step": 0}
+        records = dict(calls)
         for name in calls:
             original = getattr(models, name)
 
-            def counted(*args, _name=name, _fn=original, **kwargs):
+            def counted(net, x, *args, _name=name, _fn=original, **kwargs):
                 calls[_name] += 1
-                return _fn(*args, **kwargs)
+                # a free-run batch is (records, channels, time); any other
+                # argument is one record
+                records[_name] += len(x) if np.ndim(x) == 3 else 1
+                return _fn(net, x, *args, **kwargs)
             for mod in (models, analysis, cli):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted)
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
                        "--mode", "both", "--band", 0.1, 0.3,
                        "--out", tmp_path / "o") == 0
-        assert calls == {"simulate_free_run": 3, "predict_one_step": 3}
+        # the three equal-length records are simulated as one batch
+        assert calls == {"simulate_free_run": 1, "predict_one_step": 3}
+        assert records == {"simulate_free_run": 3, "predict_one_step": 3}
 
 
 class TestGridsearch:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -167,6 +168,44 @@ class TestCsvRoundTrip:
         for orig, back in zip(ds.records, loaded.records):
             assert np.array_equal(orig.u, back.u)
             assert np.array_equal(orig.y, back.y)
+
+    def _with_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "rows.csv"
+        path.write_text("u1,y1\n" + "".join(f"{k}.0,{k}.5\n" for k in range(30)))
+        (tmp_path / "rows.csv.meta.json").write_text(sidecar)
+        return path
+
+    def test_sidecar_segments_split_records(self, tmp_path):
+        path = self._with_sidecar(tmp_path, '{"segments": [[0, 12], [12, 30]]}')
+        lengths = [r.length for r in load_csv_dataset(path).records]
+        assert lengths == [12, 18]
+
+    @pytest.mark.parametrize("segments", [
+        [[0, 100]],                 # past the last row
+        [[-1, 10]],                 # before the first row
+        [[5, 5]],                   # empty
+        [[20, 10]],                 # reversed
+        [[0, 20], [10, 30]],        # overlapping
+        [[10, 20], [0, 10]],        # out of order
+        [[0, 10.0]],                # not an integer
+        [[0, True]],                # a boolean is no row number
+        [[0, 10, 20]],              # not a pair
+        [10, 20],                   # not a list of pairs
+        {"0": 10},                  # not a list
+    ])
+    def test_bad_sidecar_segments_rejected(self, tmp_path, segments):
+        path = self._with_sidecar(tmp_path, json.dumps({"segments": segments}))
+        with pytest.raises(DataError, match=r"rows\.csv\.meta\.json"):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("sidecar,message", [
+        ("{broken", "not a JSON document"),
+        ("[[0, 30]]", "not a JSON object"),
+    ])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar, message):
+        path = self._with_sidecar(tmp_path, sidecar)
+        with pytest.raises(DataError, match=message):
+            load_csv_dataset(path)
 
     def test_ystar_column_written_for_clean_records(self, tmp_path):
         ds = make_chen_dataset(1, 10, NO_NOISE, seed=6)

@@ -178,6 +178,55 @@ class TestFreeRun:
         assert np.array_equal(simulate_free_run(model, u),
                               free_run_naive(model, u))
 
+    @pytest.mark.parametrize("family,kw", [
+        ("tcn", dict(hidden=5, depth=2, kernel_size=3, dilations=True,
+                     norm="batch", activation="relu")),
+        ("tcn", dict(hidden=4, depth=1, kernel_size=2, norm="weight",
+                     activation="tanh")),
+        ("mlp", dict(hidden=6, depth=2, order=4, activation="sigmoid")),
+        ("lstm", dict(hidden=5, depth=2)),
+    ])
+    def test_batch_equals_each_row(self, family, kw):
+        cfg = ModelConfig(family=family, **kw)
+        model = build_model(cfg, Rng(9))
+        if kw.get("norm") == "batch":
+            model.forward(Rng(10).gaussian((4, 2, 30)), training=True)
+        u = Rng(31).gaussian((3, 1, 18))
+        batch = simulate_free_run(model, u)
+        rows = np.stack([simulate_free_run(model, row) for row in u])
+        assert batch.shape == (3, 1, 18)
+        if family == "lstm":
+            # a one-row gate product and a three-row one may go to different
+            # BLAS kernels, which sum in a different order
+            assert np.max(np.abs(batch - rows)) <= 1e-12 * np.max(np.abs(rows))
+        else:
+            assert batch.tobytes() == rows.tobytes()
+
+    def test_batched_y_init_equals_each_row_warm_start(self):
+        cfg = ModelConfig(family="tcn", hidden=4, depth=2, kernel_size=2,
+                          dilations=True, activation="tanh")
+        model = build_model(cfg, Rng(32))
+        u = Rng(33).gaussian((3, 1, 15))
+        y_init = Rng(34).gaussian((3, 1, 4))
+        batch = simulate_free_run(model, u, y_init=y_init)
+        rows = np.stack([simulate_free_run(model, u[b], y_init=y_init[b])
+                         for b in range(3)])
+        assert batch.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("u_shape,y_shape", [
+        ((3, 2, 15), None),             # u channel count
+        ((15,), (3, 1, 4)),             # y_init batch, one record
+        ((3, 1, 15), (2, 1, 4)),        # y_init batch
+        ((3, 1, 15), (3, 2, 4)),        # y_init channel count
+        ((3, 1, 15), (1, 4)),           # one y_init for a batch of three
+        ((1, 3, 1, 15), None),          # u of rank 4
+    ])
+    def test_batch_shapes_checked(self, u_shape, y_shape):
+        model = build_model(ModelConfig(family="tcn", hidden=4), Rng(35))
+        y_init = None if y_shape is None else np.zeros(y_shape)
+        with pytest.raises(DimensionError):
+            simulate_free_run(model, np.zeros(u_shape), y_init=y_init)
+
     def test_y_init_channel_count_checked(self):
         cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2)
         model = build_model(cfg, Rng(12))
@@ -402,6 +451,22 @@ class TestCheckpoint:
         doc["config"]["widht"] = 3
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="widht"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["params", "config"])
+    def test_missing_entry_rejected(self, tmp_path, key):
+        path, doc = self._saved_batch_norm_doc(tmp_path)
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"ckpt.json.*'{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["params", "state"])
+    def test_array_table_not_a_mapping_rejected(self, tmp_path, key):
+        path, doc = self._saved_batch_norm_doc(tmp_path)
+        doc[key] = list(doc[key].values())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"ckpt.json.*'{key}'"):
             load_checkpoint(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):
