@@ -203,7 +203,8 @@ def error_spectrum(err, sample_rate=1.0, band=None):
     """Discrete Fourier magnitude of an error sequence.
 
     Returns (frequencies in Hz, magnitudes) over all DFT bins; ``band``
-    restricts the output to frequencies in [f_lo, f_hi].
+    restricts the output to frequencies in [f_lo, f_hi] and must keep at
+    least one bin.
     """
     err = np.asarray(err, dtype=np.float64).reshape(-1)
     if err.size < 2:
@@ -213,6 +214,13 @@ def error_spectrum(err, sample_rate=1.0, band=None):
     mags = np.abs(spectrum)
     if band is not None:
         f_lo, f_hi = band
+        if not (np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo <= f_hi):
+            raise ParameterError(f"band [{f_lo}, {f_hi}] needs finite bounds "
+                                 f"with f_lo <= f_hi")
         keep = (freqs >= f_lo) & (freqs <= f_hi)
+        if not keep.any():
+            raise ParameterError(f"band [{f_lo}, {f_hi}] Hz holds no DFT bin "
+                                 f"of a {err.size}-sample record at "
+                                 f"{sample_rate} Hz")
         return freqs[keep], mags[keep]
     return freqs, mags

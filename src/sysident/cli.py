@@ -197,12 +197,12 @@ def _write_predictions(dataset, predictions, path):
 def _write_spectrum(record, yhat, band, path):
     ny = record.y.shape[0]
     err = yhat - record.y
-    rate = record.sample_rate if record.sample_rate else 1.0
+    rate = 1.0 if record.sample_rate is None else record.sample_rate
+    freqs, first = error_spectrum(err[0], sample_rate=rate, band=band)
+    mags = [first] + [error_spectrum(err[i], sample_rate=rate, band=band)[1]
+                      for i in range(1, ny)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("frequency," + ",".join(f"mag_y{i + 1}" for i in range(ny)) + "\n")
-        freqs, first = error_spectrum(err[0], sample_rate=rate, band=band)
-        mags = [first] + [error_spectrum(err[i], sample_rate=rate, band=band)[1]
-                          for i in range(1, ny)]
         for j in range(freqs.size):
             fh.write(",".join([repr(float(freqs[j]))] + [repr(float(m[j])) for m in mags]) + "\n")
 

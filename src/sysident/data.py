@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,8 +148,9 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
     """Load one dataset file: header row naming channels, one sample per row.
 
     Column names default to the ``u*``/``y*`` prefixes found in the header.
-    A sidecar ``<file>.meta.json`` may declare ``sample_rate`` and
-    ``segments`` ([start, stop) pairs splitting the file into records).
+    A sidecar ``<file>.meta.json`` may declare ``sample_rate`` (Hz, a
+    finite number > 0) and ``segments`` ([start, stop) pairs splitting the
+    file into records).
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -205,6 +207,12 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
         if not isinstance(meta, dict):
             raise DataError(f"sidecar {meta_path} is not a JSON object")
         sample_rate = meta.get("sample_rate")
+        # bool is no rate; NaN fails every comparison; json reads Infinity
+        if sample_rate is not None and not (
+                type(sample_rate) in (int, float)
+                and 0 < sample_rate <= sys.float_info.max):
+            raise DataError(f"sidecar {meta_path}: sample_rate must be a "
+                            f"finite number > 0, got {sample_rate!r}")
         segments = meta.get("segments")
         if segments is not None:
             _check_segments(segments, u.shape[1], meta_path)

@@ -258,13 +258,16 @@ class CausalConv1d(Layer):
 
 
 def _sigmoid(x):
-    # piecewise-stable logistic; same formula everywhere for reproducibility
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # stable logistic without branches: with e = exp(-|x|), 1 / (1 + e) for
+    # x >= 0 and e / (1 + e) for x < 0. Negation is exact and addition
+    # commutes, so every element gets the bits of the two-branch formula
+    # (the oracle in tests/conftest.py); exp runs on a contiguous array
+    e = np.empty(np.shape(x))   # an array even for 0-d x, so out= works
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    return np.divide(num, np.add(e, 1.0, out=e), out=num)
 
 
 class Activation(Layer):

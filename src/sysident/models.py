@@ -148,10 +148,11 @@ def lstm_cell_step(x_t, h_prev, c_prev, w_x, w_h, b):
     """One LSTM cell update; returns (h, c, cache) with gate order i, f, g, o."""
     hidden = h_prev.shape[1]
     z = x_t @ w_x.T + h_prev @ w_h.T + b
-    i = _sigmoid(z[:, :hidden])
-    f = _sigmoid(z[:, hidden:2 * hidden])
+    s = _sigmoid(z)   # one call over all 4H; the g slice goes unused
+    i = s[:, :hidden]
+    f = s[:, hidden:2 * hidden]
     g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = _sigmoid(z[:, 3 * hidden:])
+    o = s[:, 3 * hidden:]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc

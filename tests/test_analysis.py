@@ -187,6 +187,22 @@ class TestErrorSpectrum:
         with pytest.raises(DataError):
             error_spectrum(np.array([1.0]))
 
+    def test_one_bin_band(self):
+        freqs, _ = error_spectrum(np.ones(10), band=(0.1, 0.1))
+        assert np.array_equal(freqs, [0.1])
+
+    @pytest.mark.parametrize("band", [
+        (0.3, 0.1),                 # reversed
+        (0.11, 0.19),               # between the bins at 0.1 and 0.2
+        (float("nan"), 0.2),
+        (0.1, float("nan")),
+        (0.1, float("inf")),
+        (float("-inf"), 0.2),
+    ])
+    def test_bad_band_rejected(self, band):
+        with pytest.raises(ParameterError, match="band"):
+            error_spectrum(np.ones(10), band=band)
+
 
 class TestEvaluate:
     def test_report_fields_and_modes(self):

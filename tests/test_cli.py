@@ -151,6 +151,16 @@ class TestEval:
         freqs = [float(l.split(",")[0]) for l in lines[1:]]
         assert freqs and min(freqs) >= 0.1 and max(freqs) <= 0.3
 
+    @pytest.mark.parametrize("band", [(0.3, 0.1), (0.101, 0.102), ("nan", 0.2)],
+                             ids=["reversed", "no_bin", "nan"])
+    def test_bad_band_exit_2(self, tmp_path, capsys, band):
+        ckpt, data = self._oracle_setup(tmp_path)
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--mode",
+                       "both", "--band", *band, "--out", out) == 2
+        assert "band" in capsys.readouterr().err
+        assert not list(out.glob("spectrum_*.csv"))
+
     def test_channel_mismatch_exit_2(self, tmp_path, capsys):
         ckpt, _ = self._oracle_setup(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -202,7 +212,12 @@ class TestEval:
         ('{"segments": [[0, 100]]}', "0 <= start < stop <= 40"),
         ("{broken", "not a JSON document"),
         ('[[0, 40]]', "not a JSON object"),
-    ], ids=["segment_past_end", "not_json", "not_a_mapping"])
+        ('{"sample_rate": "fast"}', "sample_rate must be"),
+        ('{"sample_rate": -5}', "sample_rate must be"),
+        ('{"sample_rate": 0}', "sample_rate must be"),
+        ('{"sample_rate": NaN}', "sample_rate must be"),
+    ], ids=["segment_past_end", "not_json", "not_a_mapping", "rate_not_a_number",
+            "rate_negative", "rate_zero", "rate_nan"])
     def test_malformed_sidecar_exit_2(self, tmp_path, capsys, sidecar, message):
         ckpt, _ = self._oracle_setup(tmp_path)
         data = tmp_path / "one.csv"

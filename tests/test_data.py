@@ -198,6 +198,20 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=r"rows\.csv\.meta\.json"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize("rate", [50, 12.5])
+    def test_sidecar_sample_rate_kept(self, tmp_path, rate):
+        path = self._with_sidecar(tmp_path, json.dumps({"sample_rate": rate}))
+        assert load_csv_dataset(path).records[0].sample_rate == rate
+
+    @pytest.mark.parametrize("rate", [
+        '"fast"', "-5", "0", "0.0", "true", "NaN", "Infinity", "-Infinity",
+        "[10]", pytest.param("1" + "0" * 400, id="int_beyond_float"),
+    ])
+    def test_bad_sample_rate_rejected(self, tmp_path, rate):
+        path = self._with_sidecar(tmp_path, '{"sample_rate": %s}' % rate)
+        with pytest.raises(DataError, match=r"rows\.csv\.meta\.json: sample_rate"):
+            load_csv_dataset(path)
+
     @pytest.mark.parametrize("sidecar,message", [
         ("{broken", "not a JSON document"),
         ("[[0, 30]]", "not a JSON object"),

@@ -5,7 +5,7 @@ from sysident import Rng
 from sysident.errors import DataError, DimensionError, ParameterError
 from sysident.gradcheck import check_model_gradients, numerical_gradient, relative_error
 from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dropout,
-                             ResidualBlock, weight_norm_backward,
+                             ResidualBlock, _sigmoid, weight_norm_backward,
                              weight_norm_forward)
 
 GRAD_TOL = 1e-6
@@ -131,6 +131,49 @@ class TestActivations:
         act = Activation("relu")
         act.forward(np.array([0.0, 1.0]))
         assert np.array_equal(act.backward(np.ones(2)), [0.0, 1.0])
+
+
+class TestSigmoid:
+    MAGNITUDES = (1e-3, 1e-1, 1.0, 10.0, 40.0, 800.0)
+
+    @staticmethod
+    def assert_matches_oracle(x, oracle):
+        before = x.copy()
+        out = _sigmoid(x)
+        expected = oracle(x)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("shape", [(1, 128), (10, 64, 1), (8, 64, 100)])
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_bytes_equal_masked_form(self, shape, magnitude, masked_sigmoid):
+        x = Rng(31).gaussian(shape) * magnitude
+        self.assert_matches_oracle(x, masked_sigmoid)
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_views_bytes_equal_masked_form(self, magnitude, masked_sigmoid):
+        x = Rng(32).gaussian((8, 64, 100)) * magnitude
+        for view in (x[:, ::2, 1::3], x[1:, 3:], x.transpose(2, 0, 1),
+                     x[0].T, x[..., ::-1]):
+            self.assert_matches_oracle(view, masked_sigmoid)
+
+    def test_signed_zeros_and_infinities(self, masked_sigmoid):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 1e-300, -1e-300])
+        self.assert_matches_oracle(x, masked_sigmoid)
+        assert np.array_equal(_sigmoid(x[:4]), [0.5, 0.5, 1.0, 0.0])
+
+    def test_nan_in_nan_out(self):
+        out = _sigmoid(np.array([np.nan, -1.0, np.nan, 2.0]))
+        assert np.array_equal(np.isnan(out), [True, False, True, False])
+
+    @pytest.mark.parametrize("value", [-3.5, 0.0, 2.25])
+    def test_zero_dimensional_input(self, value, masked_sigmoid):
+        expected = masked_sigmoid(np.array(value))
+        for x in (np.array(value), np.float64(value)):
+            out = _sigmoid(x)
+            assert np.shape(out) == ()
+            assert np.asarray(out).tobytes() == expected.tobytes()
 
 
 class TestDropout:

@@ -11,7 +11,8 @@ from sysident.data import SequenceRecord
 from sysident.errors import (ConfigError, DataError, DimensionError,
                              UnsupportedError)
 from sysident.gradcheck import check_model_gradients
-from sysident.layers import CausalConv1d
+from sysident import models
+from sysident.layers import CausalConv1d, _sigmoid
 from sysident.models import lstm_cell_step
 
 GRAD_TOL = 1e-6
@@ -266,6 +267,34 @@ class TestLstmCell:
         _, c, cache = lstm_cell_step(x, np.zeros((1, 3)), c_prev, w_x, w_h, b)
         _, _, _, i, _, g, _, _ = cache
         assert np.allclose(c, c_prev + i * g, atol=1e-12)
+
+    def test_one_sigmoid_call_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return _sigmoid(x)
+
+        monkeypatch.setattr(models, "_sigmoid", counted)
+        model = build_model(ModelConfig(family="lstm", hidden=5, depth=2), Rng(20))
+        model.forward(Rng(21).gaussian((3, 2, 7)))
+        assert calls == [(3, 20)] * 14     # depth 2 x 7 steps, all 4H at once
+
+    def test_cached_gates_equal_masked_sigmoid(self, masked_sigmoid):
+        rng = Rng(22)
+        hidden = 6
+        x = rng.gaussian((4, 3))
+        h_prev = rng.gaussian((4, hidden))
+        w_x = rng.gaussian((4 * hidden, 3), std=2.0)
+        w_h = rng.gaussian((4 * hidden, hidden), std=2.0)
+        b = rng.gaussian(4 * hidden)
+        _, _, cache = lstm_cell_step(x, h_prev, rng.gaussian((4, hidden)),
+                                     w_x, w_h, b)
+        _, _, _, i, f, _, o, _ = cache
+        z = x @ w_x.T + h_prev @ w_h.T + b
+        for gate, k in ((i, 0), (f, 1), (o, 3)):
+            expected = masked_sigmoid(z[:, k * hidden:(k + 1) * hidden])
+            assert gate.tobytes() == expected.tobytes()
 
     def test_bptt_matches_finite_differences_on_length_5(self):
         cfg = ModelConfig(family="lstm", hidden=4, depth=2)
