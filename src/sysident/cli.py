@@ -154,6 +154,10 @@ def cmd_eval(args):
             f"checkpoint expects {model.config.nu} inputs / {model.config.ny} "
             f"outputs but the dataset has {nu} / {ny}")
     norm = NormConstants.from_dict(norm_dict) if norm_dict else None
+    first = dataset.records[0]
+    rate = 1.0 if first.sample_rate is None else first.sample_rate
+    if args.band is not None:   # reject a bad band before writing any file
+        error_spectrum(np.zeros(first.length), sample_rate=rate, band=args.band)
     modes = ["one-step", "free-run"] if args.mode == "both" else [args.mode]
     outputs = []
     for mode in modes:
@@ -169,8 +173,8 @@ def cmd_eval(args):
         outputs.append(pred_path)
         if args.band is not None:
             spec_path = os.path.join(args.out, f"spectrum_{tag}.csv")
-            _write_spectrum(dataset.records[0], report.predictions[0],
-                            args.band, spec_path)
+            _write_spectrum(first, report.predictions[0], rate, args.band,
+                            spec_path)
             outputs.append(spec_path)
         print(f"{mode}: mean RMSE {report.rmse_mean:.6g} over "
               f"{report.sample_count} samples")
@@ -194,10 +198,9 @@ def _write_predictions(dataset, predictions, path):
                 fh.write(",".join(vals) + "\n")
 
 
-def _write_spectrum(record, yhat, band, path):
+def _write_spectrum(record, yhat, rate, band, path):
     ny = record.y.shape[0]
     err = yhat - record.y
-    rate = 1.0 if record.sample_rate is None else record.sample_rate
     freqs, first = error_spectrum(err[0], sample_rate=rate, band=band)
     mags = [first] + [error_spectrum(err[i], sample_rate=rate, band=band)[1]
                       for i in range(1, ny)]

@@ -10,6 +10,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
@@ -215,20 +216,17 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
             else:
                 tasks.append((i, rep, cfg, seed, train_set, valid_set, train_config))
     fresh = []
-    if jobs <= 1 or not tasks:
-        for payload in tasks:
-            row = _run_single(payload)
+    with ExitStack() as stack:
+        if jobs <= 1 or not tasks:
+            results = map(_run_single, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            futures = [pool.submit(_run_single, payload) for payload in tasks]
+            results = (fut.result() for fut in as_completed(futures))
+        for row in results:
             if journal_path:
                 _journal_append(journal_path, row)
             fresh.append(row)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_single, payload) for payload in tasks]
-            for fut in as_completed(futures):
-                row = fut.result()
-                if journal_path:
-                    _journal_append(journal_path, row)
-                fresh.append(row)
     rows = reused + fresh
     rows.sort(key=lambda r: (r.index, r.repetition))
     return rows

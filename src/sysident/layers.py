@@ -18,22 +18,16 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh")
 NORM_KINDS = ("batch", "weight", "none")
 
 
-def he_uniform(rng, shape, fan_in):
-    limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, shape)
-
-
-def glorot_uniform(rng, shape, fan_in, fan_out):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
-
-
 def _init_weight(rng, shape, fan_in, fan_out, init):
+    """Uniform draw in [-limit, limit]: He, sqrt(6 / fan_in), or Glorot,
+    sqrt(6 / (fan_in + fan_out))."""
     if init == "he":
-        return he_uniform(rng, shape, fan_in)
-    if init == "glorot":
-        return glorot_uniform(rng, shape, fan_in, fan_out)
-    raise ParameterError(f"unknown init kind '{init}'")
+        limit = math.sqrt(6.0 / fan_in)
+    elif init == "glorot":
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+    else:
+        raise ParameterError(f"unknown init kind '{init}'")
+    return rng.uniform(-limit, limit, shape)
 
 
 def weight_norm_forward(v, g):
@@ -148,8 +142,8 @@ class CausalConv1d(Layer):
     channel as W = g * v / ||v||.
     """
 
-    def __init__(self, in_channels, out_channels, kernel_size, dilation=1,
-                 rng=None, init="glorot", weight_norm=False):
+    def __init__(self, in_channels, out_channels, kernel_size, dilation, rng,
+                 init="glorot", weight_norm=False):
         super().__init__()
         if kernel_size < 1:
             raise ParameterError(f"kernel size must be >= 1, got {kernel_size}")
@@ -304,7 +298,7 @@ class Activation(Layer):
 class Dropout(Layer):
     """Inverted dropout: train-time masking with 1/(1-p) rescale, eval identity."""
 
-    def __init__(self, rate, rng=None):
+    def __init__(self, rate, rng):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
@@ -403,7 +397,7 @@ class ResidualBlock(Layer):
     """
 
     def __init__(self, in_channels, out_channels, kernel_size, dilation,
-                 norm="none", dropout=0.0, activation="relu", rng=None):
+                 rng, norm="none", dropout=0.0, activation="relu"):
         super().__init__()
         if norm not in NORM_KINDS:
             raise ParameterError(f"unknown norm kind '{norm}'")
@@ -422,8 +416,8 @@ class ResidualBlock(Layer):
         self.bn2 = BatchNorm(out_channels) if norm == "batch" else None
         self.act1 = Activation(activation)
         self.act2 = Activation(activation)
-        self.drop1 = Dropout(dropout, rng.split() if rng is not None else None)
-        self.drop2 = Dropout(dropout, rng.split() if rng is not None else None)
+        self.drop1 = Dropout(dropout, rng.split())
+        self.drop2 = Dropout(dropout, rng.split())
         if in_channels != out_channels:
             self.skip = CausalConv1d(in_channels, out_channels, 1, 1, rng,
                                      init="glorot")

@@ -10,6 +10,9 @@ history at the start), so its output aligns index-for-index with y.
 ``simulate_free_run`` replaces the measured outputs in the feedback channels
 with the model's own past predictions, evaluating one time step at a time for
 a whole batch of records; each layer keeps only the state that step needs.
+
+All three families are one ``SequenceNet``: a chain of stages (TCN residual
+blocks, MLP dense layers or stacked ``LstmLayer``s) and a 1x1 output map.
 """
 
 import base64
@@ -20,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UnsupportedError
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
-                     Dropout, Layer, ResidualBlock, _sigmoid, chain_backward,
-                     chain_forward, chain_step, stream_array)
+                     Dropout, Layer, ResidualBlock, _init_weight, _sigmoid,
+                     chain_backward, chain_forward, chain_step, stream_array)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
@@ -74,39 +77,32 @@ class ModelConfig:
         return cls(**d)
 
 
-class _SequenceModel(Layer):
-    """Shared plumbing: the configuration plus per-layer streaming.
-
-    ``begin_stream`` resets the ring buffers (or recurrent state) of every
-    child layer; ``step`` then advances the whole model one time step,
-    computing only each layer's new output column.
-    """
-
-    def __init__(self, config):
-        super().__init__()
-        self.config = config
-
-    def num_parameters(self):
-        return sum(p.size for _, p in self.named_parameters())
-
-
-class FeedForwardNet(_SequenceModel):
-    """A chain of causal convolution stages followed by a 1x1 output map.
+class SequenceNet(Layer):
+    """A chain of sequence stages followed by a 1x1 output map.
 
     The TCN's stages are residual blocks of dilated causal convolutions
     (``model.blocks``). The NARX-MLP's first stage is a kernel-n causal
     convolution, which is exactly a dense layer on the window of the last n
     regression vectors; its deeper hidden layers are 1x1 convolutions, i.e.
-    per-time-step dense maps (``model.layers``).
+    per-time-step dense maps (``model.layers``). The LSTM's stages are
+    stacked recurrent layers (``model.cells``).
+
+    ``begin_stream`` resets every stage's ring buffers or recurrent state;
+    ``step`` then advances the whole model one time step, computing only
+    each stage's new output column.
     """
 
     def __init__(self, config, group, stages, head):
-        super().__init__(config)
-        setattr(self, group, stages)     # model.blocks or model.layers
+        super().__init__()
+        self.config = config
+        setattr(self, group, stages)     # model.blocks, .layers or .cells
         self.head = head
         self.children = [(f"{group}.{i}", s) for i, s in enumerate(stages)]
         self.children.append(("head", head))
         self.chain = [*stages, head]
+
+    def num_parameters(self):
+        return sum(p.size for _, p in self.named_parameters())
 
     def forward(self, x, training=False):
         return chain_forward(self.chain, x, training)
@@ -138,6 +134,16 @@ def _mlp_layers(c, rng):
         layers.append(CausalConv1d(c.hidden, c.hidden, 1, 1, rng, init=init))
         layers.append(Activation(c.activation))
     return layers
+
+
+def _lstm_cells(c, rng):
+    sizes = [c.in_channels] + [c.hidden] * (c.depth - 1)
+    cells = [LstmLayer(n, c.hidden, rng) for n in sizes]
+    # dropout between stacked layers only (none after the last one); its
+    # streams split off after every cell's weights are drawn
+    for cell in cells[:-1]:
+        cell.drop = Dropout(c.dropout, rng.split())
+    return cells
 
 
 def _output_map(c, rng):
@@ -186,127 +192,84 @@ def lstm_cell_backward(cache, d_h, d_c, w_x, w_h):
     return d_x, d_h_prev, d_c_prev, d_wx, d_wh, d_b
 
 
-class LstmCell(Layer):
+class LstmLayer(Layer):
+    """One LSTM layer over (batch, channels, time), run one step at a time.
+
+    ``drop``, set on every layer but the top one of a stack, is inverted
+    dropout on the layer's output with one (batch, hidden) mask per time
+    step; the recurrence carries the unmasked h. Streaming keeps (h, c).
+    """
+
     def __init__(self, in_size, hidden, rng):
         super().__init__()
         self.in_size = in_size
         self.hidden = hidden
-        lim_x = np.sqrt(6.0 / (in_size + hidden))
-        lim_h = np.sqrt(6.0 / (2 * hidden))
-        self._register("Wx", rng.uniform(-lim_x, lim_x, (4 * hidden, in_size)))
-        self._register("Wh", rng.uniform(-lim_h, lim_h, (4 * hidden, hidden)))
+        self._register("Wx", _init_weight(rng, (4 * hidden, in_size),
+                                          in_size, hidden, "glorot"))
+        self._register("Wh", _init_weight(rng, (4 * hidden, hidden),
+                                          hidden, hidden, "glorot"))
         self._register("b", np.zeros(4 * hidden))
-
-
-class LSTMNet(_SequenceModel):
-    """Stacked LSTM cells with inter-layer dropout and a 1x1 linear output map."""
-
-    def __init__(self, config, rng):
-        super().__init__(config)
-        c = config
-        self.cells = []
-        in_size = c.in_channels
-        for _ in range(c.depth):
-            self.cells.append(LstmCell(in_size, c.hidden, rng))
-            in_size = c.hidden
-        # dropout between stacked layers only (none after the last cell)
-        self.drops = [Dropout(c.dropout, rng.split()) for _ in range(c.depth - 1)]
-        self.head = _output_map(c, rng)
-        self.children = [(f"cells.{i}", cell) for i, cell in enumerate(self.cells)]
-        self.children.append(("head", self.head))
-        self._layer_caches = None
-        self._drop_masks = None
-
-    def init_state(self, batch_size):
-        return [(np.zeros((batch_size, self.config.hidden)),
-                 np.zeros((batch_size, self.config.hidden)))
-                for _ in self.cells]
-
-    def _step_stack(self, col, state, training, record=True):
-        """Advance every stacked cell one time step; returns top output column."""
-        masks = []
-        h = col
-        for li, cell in enumerate(self.cells):
-            h_prev, c_prev = state[li]
-            h, c, cache = lstm_cell_step(h, h_prev, c_prev, cell.params["Wx"],
-                                         cell.params["Wh"], cell.params["b"])
-            state[li] = (h, c)
-            if record:
-                self._layer_caches[li].append(cache)
-            if li < len(self.cells) - 1:
-                drop = self.drops[li]
-                h = drop.forward(h, training)
-                masks.append(drop.mask)
-        if record:
-            self._drop_masks.append(masks)
-        return h
+        self.drop = None
+        self._steps = None     # (cell cache, dropout mask or None) per step
+        self._state = None
 
     def forward(self, x, training=False):
-        if x.ndim != 3 or x.shape[1] != self.config.in_channels:
+        if x.ndim != 3 or x.shape[1] != self.in_size:
             raise DimensionError(
-                f"lstm expects (batch, {self.config.in_channels}, time), got {x.shape}"
+                f"lstm expects (batch, {self.in_size}, time), got {x.shape}"
             )
         b_sz, _, t_len = x.shape
-        state = self.init_state(b_sz)
-        self._layer_caches = [[] for _ in self.cells]
-        self._drop_masks = []
-        tops = np.zeros((b_sz, self.config.hidden, t_len))
+        h = np.zeros((b_sz, self.hidden))
+        c = np.zeros((b_sz, self.hidden))
+        out = np.zeros((b_sz, self.hidden, t_len))
+        self._steps = []
         for t in range(t_len):
-            tops[:, :, t] = self._step_stack(x[:, :, t], state, training)
-        return self.head.forward(tops, training)
+            h, c, cache = lstm_cell_step(x[:, :, t], h, c, self.params["Wx"],
+                                         self.params["Wh"], self.params["b"])
+            if self.drop is None:
+                out[:, :, t] = h
+                self._steps.append((cache, None))
+            else:
+                out[:, :, t] = self.drop.forward(h, training)
+                self._steps.append((cache, self.drop.mask))
+        return out
 
     def backward(self, grad):
-        d_tops = self.head.backward(grad)
-        b_sz = d_tops.shape[0]
-        t_len = d_tops.shape[2]
-        n_layers = len(self.cells)
-        hidden = self.config.hidden
-        d_h = [np.zeros((b_sz, hidden)) for _ in range(n_layers)]
-        d_c = [np.zeros((b_sz, hidden)) for _ in range(n_layers)]
-        d_x = np.zeros((b_sz, self.config.in_channels, t_len))
+        b_sz, _, t_len = grad.shape
+        d_h = np.zeros((b_sz, self.hidden))
+        d_c = np.zeros((b_sz, self.hidden))
+        d_x = np.zeros((b_sz, self.in_size, t_len))
         for t in range(t_len - 1, -1, -1):
-            down = d_tops[:, :, t]
-            for li in range(n_layers - 1, -1, -1):
-                cell = self.cells[li]
-                if li < n_layers - 1:
-                    mask = self._drop_masks[t][li]
-                    if mask is not None:
-                        down = down * mask
-                dh_in = d_h[li] + down
-                cache = self._layer_caches[li][t]
-                dxt, dhp, dcp, dwx, dwh, db = lstm_cell_backward(
-                    cache, dh_in, d_c[li], cell.params["Wx"], cell.params["Wh"])
-                cell.grads["Wx"] += dwx
-                cell.grads["Wh"] += dwh
-                cell.grads["b"] += db
-                d_h[li] = dhp
-                d_c[li] = dcp
-                down = dxt
-            d_x[:, :, t] = down
+            cache, mask = self._steps[t]
+            down = grad[:, :, t] if mask is None else grad[:, :, t] * mask
+            d_xt, d_h, d_c, d_wx, d_wh, d_b = lstm_cell_backward(
+                cache, d_h + down, d_c, self.params["Wx"], self.params["Wh"])
+            self.grads["Wx"] += d_wx
+            self.grads["Wh"] += d_wh
+            self.grads["b"] += d_b
+            d_x[:, :, t] = d_xt
         return d_x
 
-    # recurrent streaming keeps (h, c) instead of input ring buffers
     def begin_stream(self, batch_size=1):
-        super().begin_stream(batch_size)
-        self._stream_state = self.init_state(batch_size)
+        self._state = (np.zeros((batch_size, self.hidden)),
+                       np.zeros((batch_size, self.hidden)))
 
     def step(self, col):
-        top = self._step_stack(col[:, :, 0], self._stream_state,
-                               training=False, record=False)
-        return self.head.step(top[:, :, None])
+        h, c, _ = lstm_cell_step(col[:, :, 0], *self._state, self.params["Wx"],
+                                 self.params["Wh"], self.params["b"])
+        self._state = (h, c)
+        return h[:, :, None]
+
+
+_STAGES = {"tcn": ("blocks", _tcn_blocks), "mlp": ("layers", _mlp_layers),
+           "lstm": ("cells", _lstm_cells)}
 
 
 def build_model(config, rng):
     """Instantiate a model family from its configuration; deterministic in rng."""
-    if config.family == "tcn":
-        blocks = _tcn_blocks(config, rng)
-        return FeedForwardNet(config, "blocks", blocks, _output_map(config, rng))
-    if config.family == "mlp":
-        layers = _mlp_layers(config, rng)
-        return FeedForwardNet(config, "layers", layers, _output_map(config, rng))
-    if config.family == "lstm":
-        return LSTMNet(config, rng)
-    raise ConfigError(f"unknown model family '{config.family}'")
+    group, make_stages = _STAGES[config.family]
+    stages = make_stages(config, rng)
+    return SequenceNet(config, group, stages, _output_map(config, rng))
 
 
 def count_parameters(config):

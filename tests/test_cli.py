@@ -160,6 +160,8 @@ class TestEval:
                        "both", "--band", *band, "--out", out) == 2
         assert "band" in capsys.readouterr().err
         assert not list(out.glob("spectrum_*.csv"))
+        assert not list(out.glob("report_*.json"))
+        assert not list(out.glob("predictions_*.csv"))
 
     def test_channel_mismatch_exit_2(self, tmp_path, capsys):
         ckpt, _ = self._oracle_setup(tmp_path)

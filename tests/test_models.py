@@ -12,7 +12,7 @@ from sysident.errors import (ConfigError, DataError, DimensionError,
                              UnsupportedError)
 from sysident.gradcheck import check_model_gradients
 from sysident import models
-from sysident.layers import CausalConv1d, _sigmoid
+from sysident.layers import CausalConv1d, Dropout, _sigmoid
 from sysident.models import lstm_cell_step
 
 GRAD_TOL = 1e-6
@@ -301,6 +301,42 @@ class TestLstmCell:
         model = build_model(cfg, Rng(16))
         x = Rng(17).gaussian((2, 2, 5))
         assert check_model_gradients(model, x, training=True) < GRAD_TOL
+
+    def test_bptt_with_dropout_matches_finite_differences(self):
+        cfg = ModelConfig(family="lstm", hidden=3, depth=3, dropout=0.3)
+        model = build_model(cfg, Rng(30))
+        rngs = [cell.drop.rng for cell in model.cells[:-1]]
+        x = Rng(31).gaussian((2, 2, 5))
+        err = check_model_gradients(
+            model, x, training=True, rng_state=[r.get_state() for r in rngs],
+            restore_rng=lambda s: [r.set_state(v) for r, v in zip(rngs, s)])
+        assert err < GRAD_TOL
+
+    def test_dropout_draws_one_mask_per_step_in_time_order(self):
+        # reference: the stack advanced one time step at a time, each
+        # inter-layer dropout drawing a (batch, hidden) mask from its stream
+        cfg = ModelConfig(family="lstm", hidden=4, depth=3, dropout=0.3)
+        model = build_model(cfg, Rng(32))
+        drops = []
+        for cell in model.cells[:-1]:
+            clone = Dropout(cell.drop.rate, Rng(0))
+            clone.rng.set_state(cell.drop.rng.get_state())
+            drops.append(clone)
+        x = Rng(33).gaussian((3, 2, 6))
+        out = model.forward(x, training=True)
+        state = [(np.zeros((3, 4)), np.zeros((3, 4))) for _ in model.cells]
+        tops = np.zeros((3, 4, 6))
+        for t in range(6):
+            h = x[:, :, t]
+            for li, cell in enumerate(model.cells):
+                h, c, _ = lstm_cell_step(h, *state[li], cell.params["Wx"],
+                                         cell.params["Wh"], cell.params["b"])
+                state[li] = (h, c)
+                if li < len(drops):
+                    h = drops[li].forward(h, training=True)
+            tops[:, :, t] = h
+        assert out.tobytes() == model.head.forward(tops).tobytes()
+        assert not np.array_equal(out, model.forward(x, training=False))
 
     def test_state_bounds(self):
         cfg = ModelConfig(family="lstm", hidden=6, depth=1)

@@ -1,0 +1,97 @@
+"""Seeded-output digests for checking that a refactor changes no bits.
+
+    python3 tools/parity.py
+
+prints one ``<case> <sha256>`` line per case. Each model case trains a small
+seeded model on the Chen toy system and digests, one line each, the trained
+parameters and state with the history (losses, learning rates, best epoch;
+not the wall-clock seconds), one-step predictions, batched free-run,
+warm-started batched free-run and the checkpoint file bytes. The
+``perfbench.*`` cases digest batched and warm-started free-run of the
+committed benchmark models. The script imports sysident from the ``src/``
+next to it, so running it in two checkouts and diffing the output compares
+their code.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
+                      build_model, load_checkpoint, make_chen_dataset,
+                      predict_one_step, save_checkpoint, simulate_free_run,
+                      train)
+
+MODEL_CASES = {
+    "lstm_d3_dropout": dict(family="lstm", hidden=8, depth=3, dropout=0.3),
+    "lstm_fir": dict(family="lstm", narx=False, hidden=6, depth=2),
+    "tcn_bn_dropout_dilated": dict(family="tcn", hidden=6, depth=3,
+                                   kernel_size=3, dilations=True,
+                                   norm="batch", dropout=0.2),
+    "mlp_d2": dict(family="mlp", hidden=8, depth=2, order=4,
+                   activation="tanh"),
+}
+BENCH_MODELS = ("tcn", "mlp", "lstm")
+WARM = 6    # measured output samples that warm-started free-run is given
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def free_run_digests(model, records):
+    u = np.stack([r.u for r in records])
+    y = np.stack([r.y for r in records])
+    return {"free_run_batched": digest(simulate_free_run(model, u)),
+            "free_run_warm": digest(simulate_free_run(model, u, y[:, :, :WARM]))}
+
+
+def model_case(kw, train_set, valid_set, tmp):
+    model = build_model(ModelConfig(**kw), Rng(11))
+    tc = TrainConfig(lr=0.01, max_epochs=4, batch_size=4, subseq_len=20,
+                     early_stop_patience=2, plateau_patience=1, seed=12)
+    model, history = train(model, train_set, valid_set, tc)
+    hist = [history.epochs, history.train_loss,
+            [np.nan if v is None else v for v in history.valid_loss],
+            history.lr, [history.best_epoch]]
+    out = {"trained": digest(*[p for _, p in model.named_parameters()],
+                             *[s for _, s in model.named_state()],
+                             *[np.asarray(col, dtype=np.float64) for col in hist])}
+    out["one_step"] = digest(*[predict_one_step(model, r) for r in valid_set.records])
+    out.update(free_run_digests(model, valid_set.records))
+    path = os.path.join(tmp, "ckpt.json")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        out["checkpoint"] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def main():
+    noise = NoiseSpec(sigma_w=0.05)
+    train_set = make_chen_dataset(4, 60, noise, seed=1)
+    valid_set = make_chen_dataset(3, 50, noise, seed=2, role="validation")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kw in MODEL_CASES.items():
+            for item, hexdigest in model_case(kw, train_set, valid_set, tmp).items():
+                print(f"{name}.{item} {hexdigest}")
+    bench_set = make_chen_dataset(3, 300, noise, seed=3, role="test")
+    for name in BENCH_MODELS:
+        model, _ = load_checkpoint(os.path.join(ROOT, "perfbench", "models",
+                                                f"{name}.json"))
+        for item, hexdigest in free_run_digests(model, bench_set.records).items():
+            print(f"perfbench.{name}.{item} {hexdigest}")
+
+
+if __name__ == "__main__":
+    main()
