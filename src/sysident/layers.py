@@ -3,9 +3,15 @@
 Sequence tensors are (batch, channels, time) float64 arrays. Each layer caches
 whatever its backward pass needs during forward; ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
-input. All convolution contractions go through ``np.einsum`` with the default
-(non-optimized) kernels so that full-sequence evaluation and windowed streaming
-evaluation produce bitwise-identical numbers.
+input.
+
+The causal convolution's forward pass and streaming ``step`` contract with
+``np.einsum`` and its default (non-optimized) kernels, so that full-sequence
+and streaming evaluation produce bitwise-identical numbers. Its input gradient
+uses ``np.matmul``, which reduces over the output channels only. Its weight
+gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
+GEMM changes that summation order with its thread count, so trained weights
+would no longer depend on the seed alone.
 """
 
 import math
@@ -218,7 +224,7 @@ class CausalConv1d(Layer):
             start = pad - i * self.dilation
             xi = xpad[:, :, start:start + t_len]
             d_w[:, :, i] = np.einsum("bot,bct->oc", grad, xi)
-            d_xpad[:, :, start:start + t_len] += np.einsum("oc,bot->bct", w[:, :, i], grad)
+            d_xpad[:, :, start:start + t_len] += np.matmul(w[:, :, i].T, grad)
         self.grads["b"] += grad.sum(axis=(0, 2))
         if self.weight_norm:
             d_v, d_g = weight_norm_backward(self.params["v"], self.params["g"], d_w)

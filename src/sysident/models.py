@@ -162,7 +162,7 @@ def lstm_cell_step(x_t, h_prev, c_prev, w_x, w_h, b):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    cache = (x_t, h_prev, c_prev, i, f, g, o, tc)
+    cache = (x_t, h_prev, c_prev, s, g, tc)
     return h, c, cache
 
 
@@ -172,17 +172,21 @@ def lstm_cell_backward(cache, d_h, d_c, w_x, w_h):
     Returns (d_x, d_h_prev, d_c_prev, d_wx, d_wh, d_b) where d_h/d_c are the
     gradients flowing into this step's outputs.
     """
-    x_t, h_prev, c_prev, i, f, g, o, tc = cache
-    d_o = d_h * tc
+    x_t, h_prev, c_prev, s, g, tc = cache
+    hidden = g.shape[1]
+    i = s[:, :hidden]
+    f = s[:, hidden:2 * hidden]
+    o = s[:, 3 * hidden:]
     d_c_total = d_c + d_h * o * (1.0 - tc * tc)
-    d_f = d_c_total * c_prev
-    d_i = d_c_total * g
-    d_g = d_c_total * i
-    dz_i = d_i * i * (1.0 - i)
-    dz_f = d_f * f * (1.0 - f)
-    dz_g = d_g * (1.0 - g * g)
-    dz_o = d_o * o * (1.0 - o)
-    dz = np.concatenate([dz_i, dz_f, dz_g, dz_o], axis=1)
+    # dL/d(gate) in gate order i, f, g, o; the sigmoid adjoint then runs once
+    # over the contiguous (B, 4H) block, and the tanh adjoint replaces the g slot
+    d_s = np.empty_like(s)
+    np.multiply(d_c_total, g, out=d_s[:, :hidden])
+    np.multiply(d_c_total, c_prev, out=d_s[:, hidden:2 * hidden])
+    np.multiply(d_c_total, i, out=d_s[:, 2 * hidden:3 * hidden])
+    np.multiply(d_h, tc, out=d_s[:, 3 * hidden:])
+    dz = d_s * s * (1.0 - s)
+    dz[:, 2 * hidden:3 * hidden] = d_s[:, 2 * hidden:3 * hidden] * (1.0 - g * g)
     d_wx = dz.T @ x_t
     d_wh = dz.T @ h_prev
     d_b = dz.sum(axis=0)

@@ -81,6 +81,33 @@ class TestCausalConv:
         x = Rng(5).gaussian((2, 2, 8))
         assert check_model_gradients(conv, x) < GRAD_TOL
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("kernel,dilation", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("t_len", [2, 9])
+    def test_backward_is_exact_adjoint(self, batch, kernel, dilation, t_len):
+        # out - b is bilinear in (W, x), so <g, out - b> = <x, dx> = <W, dW>
+        # up to rounding, judged against the sum of |g| |W| |x| and |g| |b|
+        rng = Rng(8)
+        conv = CausalConv1d(3, 2, kernel, dilation, rng)
+        w, b = conv.params["W"], conv.params["b"]
+        b[...] = rng.gaussian(2)
+        x = rng.gaussian((batch, 3, t_len))
+        g = rng.gaussian((batch, 2, t_len))
+        lhs = np.sum(g * (conv.forward(x) - b[None, :, None]))
+        mag = CausalConv1d(3, 2, kernel, dilation, rng)
+        mag.params["W"][...] = np.abs(w)
+        mag.params["b"][...] = np.abs(b)
+        scale = np.sum(np.abs(g) * mag.forward(np.abs(x)))
+        dx = conv.backward(g)
+        assert abs(lhs - np.sum(x * dx)) <= 1e-12 * scale
+        assert abs(lhs - np.sum(w * conv.grads["W"])) <= 1e-12 * scale
+        assert abs(np.sum(g * b[None, :, None]) - np.sum(b * conv.grads["b"])) \
+            <= 1e-12 * scale
+        once = {name: grad.copy() for name, grad in conv.grads.items()}
+        conv.backward(g)
+        for name in ("W", "b"):
+            assert np.array_equal(conv.grads[name], 2.0 * once[name])
+
     def test_output_length_equals_input_length(self):
         conv = CausalConv1d(1, 4, 5, 3, Rng(0))
         assert conv.forward(Rng(1).gaussian((1, 1, 17))).shape == (1, 4, 17)

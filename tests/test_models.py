@@ -265,7 +265,8 @@ class TestLstmCell:
         x = rng.gaussian((1, 2))
         c_prev = rng.gaussian((1, 3))
         _, c, cache = lstm_cell_step(x, np.zeros((1, 3)), c_prev, w_x, w_h, b)
-        _, _, _, i, _, g, _, _ = cache
+        _, _, _, s, g, _ = cache
+        i = s[:, :hidden]
         assert np.allclose(c, c_prev + i * g, atol=1e-12)
 
     def test_one_sigmoid_call_per_step(self, monkeypatch):
@@ -290,9 +291,10 @@ class TestLstmCell:
         b = rng.gaussian(4 * hidden)
         _, _, cache = lstm_cell_step(x, h_prev, rng.gaussian((4, hidden)),
                                      w_x, w_h, b)
-        _, _, _, i, f, _, o, _ = cache
+        s = cache[3]
         z = x @ w_x.T + h_prev @ w_h.T + b
-        for gate, k in ((i, 0), (f, 1), (o, 3)):
+        for k in (0, 1, 3):     # gates i, f, o
+            gate = s[:, k * hidden:(k + 1) * hidden]
             expected = masked_sigmoid(z[:, k * hidden:(k + 1) * hidden])
             assert gate.tobytes() == expected.tobytes()
 

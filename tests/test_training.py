@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -319,3 +324,41 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ConfigError, match="subsequence length"):
         TrainConfig(subseq_len=1)
+
+
+# one training-mode forward and backward per family, at matrix sizes where a
+# threaded BLAS splits the work between threads; prints one sha256 per model
+_THREADED_GRADS = """
+import hashlib
+from sysident import ModelConfig, Rng, build_model
+
+for seed, kw in enumerate((
+        dict(family="tcn", hidden=64, depth=3, kernel_size=3, dilations=True),
+        dict(family="mlp", hidden=64, order=16, depth=2),
+        dict(family="lstm", hidden=64, depth=2))):
+    model = build_model(ModelConfig(**kw), Rng(seed))
+    x = Rng(seed + 10).gaussian((4, model.config.in_channels, 100))
+    out = model.forward(x, training=True)
+    model.backward(Rng(seed + 20).gaussian(out.shape))
+    h = hashlib.sha256(out.tobytes())
+    for name, grad in model.named_grads():
+        h.update(name.encode())
+        h.update(grad.tobytes())
+    print(kw["family"], h.hexdigest())
+"""
+
+
+def test_gradients_independent_of_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", _THREADED_GRADS],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.splitlines())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]

@@ -7,10 +7,13 @@ seeded model on the Chen toy system and digests, one line each, the trained
 parameters and state with the history (losses, learning rates, best epoch;
 not the wall-clock seconds), one-step predictions, batched free-run,
 warm-started batched free-run and the checkpoint file bytes. The
-``perfbench.*`` cases digest batched and warm-started free-run of the
-committed benchmark models. The script imports sysident from the ``src/``
-next to it, so running it in two checkouts and diffing the output compares
-their code.
+``tcn_bench_epoch`` case digests the same trained items after one epoch of
+the benchmark's TCN training (h32, d4, k4, dilated, batch norm, dropout 0.3,
+20x100 Chen records in batches of 8, so the last batch has 4 rows), whose
+matrix sizes the small cases do not reach. The ``perfbench.*`` cases digest batched and warm-started
+free-run of the committed benchmark models. The script imports sysident from
+the ``src/`` next to it, so running it in two checkouts and diffing the output
+compares their code.
 """
 
 import hashlib
@@ -37,6 +40,8 @@ MODEL_CASES = {
     "mlp_d2": dict(family="mlp", hidden=8, depth=2, order=4,
                    activation="tanh"),
 }
+BENCH_TCN = dict(family="tcn", hidden=32, depth=4, kernel_size=4,
+                 dilations=True, norm="batch", dropout=0.3)
 BENCH_MODELS = ("tcn", "mlp", "lstm")
 WARM = 6    # measured output samples that warm-started free-run is given
 
@@ -57,17 +62,21 @@ def free_run_digests(model, records):
             "free_run_warm": digest(simulate_free_run(model, u, y[:, :, :WARM]))}
 
 
+def trained_digest(model, history):
+    hist = [history.epochs, history.train_loss,
+            [np.nan if v is None else v for v in history.valid_loss],
+            history.lr, [history.best_epoch]]
+    return digest(*[p for _, p in model.named_parameters()],
+                  *[s for _, s in model.named_state()],
+                  *[np.asarray(col, dtype=np.float64) for col in hist])
+
+
 def model_case(kw, train_set, valid_set, tmp):
     model = build_model(ModelConfig(**kw), Rng(11))
     tc = TrainConfig(lr=0.01, max_epochs=4, batch_size=4, subseq_len=20,
                      early_stop_patience=2, plateau_patience=1, seed=12)
     model, history = train(model, train_set, valid_set, tc)
-    hist = [history.epochs, history.train_loss,
-            [np.nan if v is None else v for v in history.valid_loss],
-            history.lr, [history.best_epoch]]
-    out = {"trained": digest(*[p for _, p in model.named_parameters()],
-                             *[s for _, s in model.named_state()],
-                             *[np.asarray(col, dtype=np.float64) for col in hist])}
+    out = {"trained": trained_digest(model, history)}
     out["one_step"] = digest(*[predict_one_step(model, r) for r in valid_set.records])
     out.update(free_run_digests(model, valid_set.records))
     path = os.path.join(tmp, "ckpt.json")
@@ -85,6 +94,13 @@ def main():
         for name, kw in MODEL_CASES.items():
             for item, hexdigest in model_case(kw, train_set, valid_set, tmp).items():
                 print(f"{name}.{item} {hexdigest}")
+    bench_noise = NoiseSpec(0.3, 0.3)
+    model = build_model(ModelConfig(**BENCH_TCN), Rng(13))
+    model, history = train(model, make_chen_dataset(20, 100, bench_noise, seed=4),
+                           make_chen_dataset(2, 100, bench_noise, seed=5,
+                                             role="validation"),
+                           TrainConfig(max_epochs=1, batch_size=8, seed=14))
+    print(f"tcn_bench_epoch.trained {trained_digest(model, history)}")
     bench_set = make_chen_dataset(3, 300, noise, seed=3, role="test")
     for name in BENCH_MODELS:
         model, _ = load_checkpoint(os.path.join(ROOT, "perfbench", "models",
