@@ -26,6 +26,5 @@ from .models import (ModelConfig, build_model, count_parameters,
                      predict_one_step, receptive_field, save_checkpoint,
                      simulate_free_run)
 from .tensor import Rng, derive_seed
-from .training import (Adam, PlateauScheduler, RMSprop, SGDMomentum,
-                       TrainConfig, TrainHistory, mse_loss, train,
-                       validation_loss)
+from .training import (Adam, RMSprop, SGDMomentum, TrainConfig, TrainHistory,
+                       mse_loss, train, validation_loss)

@@ -7,7 +7,6 @@ values. ``fd_volterra_oracle`` recovers the same kernels from input-pulse
 finite differences and serves as the independent cross-check.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +40,11 @@ class EvalReport:
     # per-record predictions over whole records, in data units; not saved
     predictions: list = field(default_factory=list, repr=False, compare=False)
 
-    def to_json(self):
-        return json.dumps({
-            "mode": self.mode,
-            "rmse_per_channel": self.rmse_per_channel,
-            "rmse_mean": self.rmse_mean,
-            "sample_count": self.sample_count,
-            "warmup_skipped": self.warmup_skipped,
-        }, indent=1)
+    def to_dict(self):
+        """The report's saved fields, without the predictions."""
+        return {"mode": self.mode, "rmse_per_channel": self.rmse_per_channel,
+                "rmse_mean": self.rmse_mean, "sample_count": self.sample_count,
+                "warmup_skipped": self.warmup_skipped}
 
 
 def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
@@ -141,7 +137,11 @@ def extract_volterra_kernels(model, degree=2):
     h0       = b_out + sum_j w2[j] sigma(b[j])
     h1[t]    = sum_j w2[j] sigma'(b[j]) W1[j,t]
     h2[t,s]  = 1/2 sum_j w2[j] sigma''(b[j]) W1[j,t] W1[j,s]
+
+    A degree-1 series has no second-order term: its h2 is zero.
     """
+    if degree < 1:
+        raise ParameterError(f"kernel degree must be >= 1, got {degree}")
     if degree > 2:
         raise UnsupportedError("kernel extraction is truncated at degree 2")
     w1, b1, w2, b_out = _fir_weights(model)
@@ -149,9 +149,11 @@ def extract_volterra_kernels(model, degree=2):
     memory = w1.shape[1]
     h0 = b_out + float(np.sum(w2 * s0))
     h1 = np.einsum("j,jt->t", w2 * s1, w1)
-    # per-unit outer products are exactly symmetric, so the sum is too
-    outer = w1[:, :, None] * w1[:, None, :]
-    h2 = 0.5 * np.sum((w2 * s2)[:, None, None] * outer, axis=0)
+    h2 = np.zeros((memory, memory))
+    if degree == 2:
+        # per-unit outer products are exactly symmetric, so the sum is too
+        outer = w1[:, :, None] * w1[:, None, :]
+        h2 = 0.5 * np.sum((w2 * s2)[:, None, None] * outer, axis=0)
     return VolterraKernels(h0=h0, h1=h1, h2=h2, memory=memory, degree=degree)
 
 

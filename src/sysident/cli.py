@@ -21,8 +21,8 @@ from .analysis import (error_spectrum, evaluate, extract_volterra_kernels,
                        fd_volterra_oracle)
 from .data import (NoiseSpec, NormConstants, compute_norm_constants,
                    load_csv_dataset, make_chen_dataset, normalize_dataset,
-                   save_csv_dataset)
-from .errors import (ConfigError, DataError, NumericError, ParameterError,
+                   save_csv_dataset, write_csv, write_json)
+from .errors import (ConfigError, DataError, NumericError, SysidentError,
                      UnsupportedError)
 from .gridsearch import GridSpace, run_grid, select_best, write_results_csv
 from .models import ModelConfig, build_model, load_checkpoint, save_checkpoint
@@ -43,40 +43,13 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, args, seed, inputs, outputs):
-    manifest = {
-        "command": command,
-        "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": seed,
-        "version": __version__,
-        "inputs": {os.fspath(p): _digest(p) for p in inputs},
-        "outputs": [os.fspath(p) for p in outputs],
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, default=str)
-        fh.write("\n")
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    # unseeded runs draw a seed and record it in the manifest
-    return int.from_bytes(os.urandom(4), "little")
-
-
 def _load_dataset(path, args, role):
     u_cols = args.u_cols.split(",") if getattr(args, "u_cols", None) else None
     y_cols = args.y_cols.split(",") if getattr(args, "y_cols", None) else None
     return load_csv_dataset(path, u_cols=u_cols, y_cols=y_cols, role=role)
 
 
-def cmd_generate(args):
-    if args.system != "chen":
-        raise ConfigError(f"unknown system '{args.system}'")
-    seed = _resolve_seed(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_generate(args, seed):
     noise = NoiseSpec(sigma_v=args.sigma_v, sigma_w=args.sigma_w)
     train_ds = make_chen_dataset(args.records, args.length, noise,
                                  seed=derive_seed(seed, "train"),
@@ -88,11 +61,9 @@ def cmd_generate(args):
     valid_path = os.path.join(args.out, "valid.csv")
     save_csv_dataset(train_ds, train_path)
     save_csv_dataset(valid_ds, valid_path)
-    _write_manifest(args.out, "generate", args, seed, [],
-                    [train_path, valid_path])
     print(f"wrote {train_ds.num_samples} training and "
           f"{valid_ds.num_samples} validation samples to {args.out}")
-    return EXIT_OK
+    return [], [train_path, valid_path]
 
 
 def _model_config_from_args(args, nu, ny):
@@ -111,9 +82,7 @@ def _train_config_from_args(args, seed):
         early_stop_patience=args.early_stop_patience, optimizer=args.optimizer)
 
 
-def cmd_train(args):
-    seed = _resolve_seed(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_train(args, seed):
     train_ds = _load_dataset(args.data, args, "training")
     valid_ds = _load_dataset(args.val, args, "validation") if args.val else None
     nu = train_ds.records[0].u.shape[0]
@@ -133,18 +102,12 @@ def cmd_train(args):
     save_checkpoint(model, ckpt_path,
                     normalization=norm.to_dict() if norm else None)
     history.to_csv(hist_path)
-    inputs = [args.data] + ([args.val] if args.val else [])
-    _write_manifest(args.out, "train", args, seed, inputs,
-                    [ckpt_path, hist_path])
-    best = history.best_epoch
     print(f"trained {args.family} for {len(history)} epochs; "
-          f"best epoch {best}; checkpoint at {ckpt_path}")
-    return EXIT_OK
+          f"best epoch {history.best_epoch}; checkpoint at {ckpt_path}")
+    return [args.data] + ([args.val] if args.val else []), [ckpt_path, hist_path]
 
 
-def cmd_eval(args):
-    seed = _resolve_seed(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_eval(args, seed):
     model, norm_dict = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args, "test")
     ny = dataset.records[0].y.shape[0]
@@ -165,8 +128,7 @@ def cmd_eval(args):
                           normalization=norm)
         tag = mode.replace("-", "_")
         report_path = os.path.join(args.out, f"report_{tag}.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        write_json(report_path, report.to_dict())
         outputs.append(report_path)
         pred_path = os.path.join(args.out, f"predictions_{tag}.csv")
         _write_predictions(dataset, report.predictions, pred_path)
@@ -178,24 +140,17 @@ def cmd_eval(args):
             outputs.append(spec_path)
         print(f"{mode}: mean RMSE {report.rmse_mean:.6g} over "
               f"{report.sample_count} samples")
-    _write_manifest(args.out, "eval", args, seed,
-                    [args.checkpoint, args.data], outputs)
-    return EXIT_OK
+    return [args.checkpoint, args.data], outputs
 
 
 def _write_predictions(dataset, predictions, path):
     ny = dataset.records[0].y.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["record", "k"]
-        cols += [f"y{i + 1}" for i in range(ny)]
-        cols += [f"yhat{i + 1}" for i in range(ny)]
-        fh.write(",".join(cols) + "\n")
-        for ri, (record, yhat) in enumerate(zip(dataset.records, predictions)):
-            for k in range(record.length):
-                vals = [str(ri), str(k)]
-                vals += [repr(float(v)) for v in record.y[:, k]]
-                vals += [repr(float(v)) for v in yhat[:, k]]
-                fh.write(",".join(vals) + "\n")
+    header = (["record", "k"] + [f"y{i + 1}" for i in range(ny)]
+              + [f"yhat{i + 1}" for i in range(ny)])
+    write_csv(path, header, (
+        [ri, k] + row
+        for ri, (record, yhat) in enumerate(zip(dataset.records, predictions))
+        for k, row in enumerate(np.concatenate([record.y, yhat]).T.tolist())))
 
 
 def _write_spectrum(record, yhat, rate, band, path):
@@ -204,15 +159,11 @@ def _write_spectrum(record, yhat, rate, band, path):
     freqs, first = error_spectrum(err[0], sample_rate=rate, band=band)
     mags = [first] + [error_spectrum(err[i], sample_rate=rate, band=band)[1]
                       for i in range(1, ny)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency," + ",".join(f"mag_y{i + 1}" for i in range(ny)) + "\n")
-        for j in range(freqs.size):
-            fh.write(",".join([repr(float(freqs[j]))] + [repr(float(m[j])) for m in mags]) + "\n")
+    write_csv(path, ["frequency"] + [f"mag_y{i + 1}" for i in range(ny)],
+              np.column_stack([freqs] + mags).tolist())
 
 
-def cmd_gridsearch(args):
-    seed = _resolve_seed(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_gridsearch(args, seed):
     with open(args.grid, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -235,39 +186,24 @@ def cmd_gridsearch(args):
     write_results_csv(rows, results_path)
     best_config, best_score = select_best(rows, metric=args.metric)
     best_path = os.path.join(args.out, "best.json")
-    with open(best_path, "w", encoding="utf-8") as fh:
-        json.dump({"config": best_config.to_dict(), "metric": args.metric,
-                   "rmse": best_score}, fh, indent=1)
-        fh.write("\n")
-    _write_manifest(args.out, "gridsearch", args, seed,
-                    [args.grid, args.data, args.val],
-                    [results_path, journal, best_path])
+    write_json(best_path, {"config": best_config.to_dict(),
+                           "metric": args.metric, "rmse": best_score})
     print(f"{len(rows)} grid rows; best {args.metric} RMSE {best_score:.6g}")
-    return EXIT_OK
+    return [args.grid, args.data, args.val], [results_path, journal, best_path]
 
 
-def cmd_volterra(args):
-    seed = _resolve_seed(args)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_volterra(args, seed):
     model, _ = load_checkpoint(args.checkpoint)
     kernels = extract_volterra_kernels(model, degree=args.degree)
-    outputs = []
     h0_path = os.path.join(args.out, "h0.csv")
-    with open(h0_path, "w", encoding="utf-8") as fh:
-        fh.write("h0\n" + repr(float(kernels.h0)) + "\n")
-    outputs.append(h0_path)
+    write_csv(h0_path, ["h0"], [[kernels.h0]])
     h1_path = os.path.join(args.out, "h1.csv")
-    with open(h1_path, "w", encoding="utf-8") as fh:
-        fh.write("tau,h1\n")
-        for t, v in enumerate(kernels.h1):
-            fh.write(f"{t},{repr(float(v))}\n")
-    outputs.append(h1_path)
+    write_csv(h1_path, ["tau", "h1"], enumerate(kernels.h1.tolist()))
+    outputs = [h0_path, h1_path]
     if args.degree >= 2:
         h2_path = os.path.join(args.out, "h2.csv")
-        with open(h2_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"tau{t}" for t in range(kernels.memory)) + "\n")
-            for row in kernels.h2:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(h2_path, [f"tau{t}" for t in range(kernels.memory)],
+                  kernels.h2.tolist())
         outputs.append(h2_path)
     if args.verify:
         oracle = fd_volterra_oracle(model, degree=args.degree)
@@ -282,9 +218,8 @@ def cmd_volterra(args):
                 f"extracted kernels deviate from the finite-difference oracle "
                 f"by {dev:.3g}x the tolerance")
         print(f"verification passed (worst deviation {dev:.3g}x tolerance)")
-    _write_manifest(args.out, "volterra", args, seed, [args.checkpoint], outputs)
     print(f"kernels written to {args.out} (memory {kernels.memory})")
-    return EXIT_OK
+    return [args.checkpoint], outputs
 
 
 def _add_column_flags(parser):
@@ -390,19 +325,33 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; its outputs and manifest go to ``--out``."""
+    args = build_parser().parse_args(argv)
+    seed = args.seed
+    if seed is None:    # unseeded runs draw a seed and record it in the manifest
+        seed = int.from_bytes(os.urandom(4), "little")
     try:
-        return args.func(args)
+        os.makedirs(args.out, exist_ok=True)
+        inputs, outputs = args.func(args, seed)
+        write_json(os.path.join(args.out, "manifest.json"), {
+            "command": args.command,
+            "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+            "seed": seed,
+            "version": __version__,
+            "inputs": {os.fspath(p): _digest(p) for p in inputs},
+            "outputs": [os.fspath(p) for p in outputs],
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        })
     except UnsupportedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DataError, ParameterError, OSError) as exc:
+    except (SysidentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -245,11 +245,27 @@ def _check_segments(segments, rows, meta_path):
         prev_stop = stop
 
 
-def save_csv_dataset(dataset, path):
-    """One file per dataset: concatenated records plus a segment sidecar.
+def write_csv(path, header, rows):
+    """The one CSV format sysident writes: a header row, then ``rows``.
 
-    Values are written with repr() so a load round-trips them exactly.
+    csv writes a float with repr(), so a load round-trips it exactly, and
+    None as an empty cell; lines end in a bare newline.
     """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc):
+    """The one JSON format sysident writes: indent 1 and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def save_csv_dataset(dataset, path):
+    """One file per dataset: concatenated records plus a segment sidecar."""
     path = os.fspath(path)
     records = dataset.records
     nu = records[0].u.shape[0]
@@ -258,15 +274,9 @@ def save_csv_dataset(dataset, path):
     header = [f"u{i + 1}" for i in range(nu)] + [f"y{i + 1}" for i in range(ny)]
     if has_clean:
         header += [f"ystar{i + 1}" for i in range(ny)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in records:
-            for k in range(rec.length):
-                vals = [repr(float(v)) for v in rec.u[:, k]]
-                vals += [repr(float(v)) for v in rec.y[:, k]]
-                if has_clean:
-                    vals += [repr(float(v)) for v in rec.y_clean[:, k]]
-                fh.write(",".join(vals) + "\n")
+    blocks = (np.concatenate([r.u, r.y, r.y_clean] if has_clean else [r.u, r.y])
+              for r in records)
+    write_csv(path, header, (row for b in blocks for row in b.T.tolist()))
     meta = {"segments": []}
     start = 0
     for rec in records:

@@ -113,12 +113,10 @@ class GridRow:
                "rmse_one_step", "rmse_free_run", "best_epoch", "wall_clock")
 
     def to_csv_row(self):
+        # csv writes floats with repr() and None as an empty cell
         return [self.index, self.repetition, json.dumps(self.config, sort_keys=True),
-                self.seed, self.status,
-                "" if self.rmse_one_step is None else repr(float(self.rmse_one_step)),
-                "" if self.rmse_free_run is None else repr(float(self.rmse_free_run)),
-                "" if self.best_epoch is None else self.best_epoch,
-                f"{self.wall_clock:.3f}"]
+                self.seed, self.status, self.rmse_one_step, self.rmse_free_run,
+                self.best_epoch, f"{self.wall_clock:.3f}"]
 
     @classmethod
     def from_csv_row(cls, row):

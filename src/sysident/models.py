@@ -17,10 +17,12 @@ blocks, MLP dense layers or stacked ``LstmLayer``s) and a 1x1 output map.
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .data import write_json
 from .errors import ConfigError, DataError, DimensionError, UnsupportedError
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
                      Dropout, Layer, ResidualBlock, _init_weight, _sigmoid,
@@ -28,6 +30,9 @@ from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
+# the Python types each annotated ModelConfig field accepts; bool, although
+# an int subclass, is neither a size nor a rate
+_ACCEPTED_TYPES = {int: int, bool: bool, float: (int, float), str: str}
 
 
 @dataclass
@@ -48,6 +53,12 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _ACCEPTED_TYPES[f.type]) or (
+                    f.type is not bool and isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, "
+                                  f"got {value!r}")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family '{self.family}'")
         if self.norm not in NORM_KINDS:
@@ -426,9 +437,7 @@ def save_checkpoint(model, path, normalization=None):
     }
     if normalization is not None:
         doc["normalization"] = normalization
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path):
@@ -449,7 +458,25 @@ def load_checkpoint(path):
     model = build_model(ModelConfig.from_dict(doc["config"]), Rng(0))
     _load_arrays("parameter", dict(model.named_parameters()), doc["params"])
     _load_arrays("state", dict(model.named_state()), doc.get("state", {}))
-    return model, doc.get("normalization")
+    norm = doc.get("normalization")
+    if norm is not None:
+        _check_normalization(norm, model.config, path)
+    return model, norm
+
+
+def _check_normalization(norm, config, path):
+    """Per-channel means and scales: finite numbers, one per channel, scales > 0."""
+    if not isinstance(norm, dict):
+        raise DataError(f"checkpoint {path}: 'normalization' is not a mapping")
+    for key, size in (("u_mean", config.nu), ("u_scale", config.nu),
+                      ("y_mean", config.ny), ("y_scale", config.ny)):
+        vec = norm.get(key)
+        ok = (isinstance(vec, list) and len(vec) == size
+              and all(type(v) in (int, float) and math.isfinite(v) for v in vec))
+        if not ok or (key.endswith("scale") and min(vec) <= 0):
+            raise DataError(f"checkpoint {path}: normalization '{key}' must be "
+                            f"a list of {size} finite numbers (scales > 0), "
+                            f"got {vec!r}")
 
 
 def _load_arrays(kind, arrays, entries):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      TrainingDiverged)
 from .models import predict_one_step, shift_right, stack_model_input
@@ -140,32 +141,7 @@ def make_optimizer(model, config):
     return OPTIMIZERS[config.optimizer](model.named_parameters(), config.lr)
 
 
-class PlateauScheduler:
-    """Cut the learning rate whenever the monitored loss stalls.
-
-    The rate is multiplied by ``factor`` (floored at ``min_lr``) after
-    ``patience`` consecutive epochs without a new best loss; a reduction
-    resets the stagnation counter.
-    """
-
-    def __init__(self, lr, patience=10, factor=0.1, min_lr=1e-6):
-        self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.min_lr = min_lr
-        self.best = np.inf
-        self.stagnant = 0
-
-    def update(self, loss):
-        if loss < self.best:
-            self.best = loss
-            self.stagnant = 0
-        else:
-            self.stagnant += 1
-            if self.stagnant >= self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
-                self.stagnant = 0
-        return self.lr
+MIN_LR = 1e-6   # floor of the plateau schedule
 
 
 class TrainHistory:
@@ -190,13 +166,9 @@ class TrainHistory:
         return len(self.epochs)
 
     def to_csv(self, path):
-        # repr() keeps full float precision so files round-trip exactly
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_loss,valid_loss,lr,seconds\n")
-            for i in range(len(self.epochs)):
-                vl = "" if self.valid_loss[i] is None else repr(float(self.valid_loss[i]))
-                fh.write(f"{self.epochs[i]},{repr(float(self.train_loss[i]))},{vl},"
-                         f"{repr(float(self.lr[i]))},{self.seconds[i]:.3f}\n")
+        write_csv(path, ["epoch", "train_loss", "valid_loss", "lr", "seconds"],
+                  zip(self.epochs, self.train_loss, self.valid_loss, self.lr,
+                      [f"{s:.3f}" for s in self.seconds]))
 
 
 def build_windows(dataset, narx, subseq_len):
@@ -261,15 +233,15 @@ def _restore(model, snapshot):
 def train(model, train_set, valid_set, config):
     """Run the full training protocol; returns (model at best epoch, history).
 
-    With ``valid_set=None`` the plateau scheduler tracks the training loss,
+    The learning rate is multiplied by ``lr_factor`` (floored at ``MIN_LR``)
+    after every ``plateau_patience`` consecutive epochs without a new best
+    monitored loss. With ``valid_set=None`` the training loss is monitored,
     early stopping is disabled and the final-epoch parameters are kept
     (training until convergence).
     """
     windows = build_windows(train_set, model.config.narx, config.subseq_len)
     shuffle_rng = Rng(config.seed).split()
     optimizer = make_optimizer(model, config)
-    scheduler = PlateauScheduler(config.lr, config.plateau_patience,
-                                 config.lr_factor)
     history = TrainHistory()
     best_loss = np.inf
     best_snapshot = None
@@ -311,7 +283,8 @@ def train(model, train_set, valid_set, config):
             since_best = 0
         else:
             since_best += 1
-        optimizer.lr = scheduler.update(monitored)
+            if since_best % config.plateau_patience == 0:
+                optimizer.lr = max(optimizer.lr * config.lr_factor, MIN_LR)
         if valid_set is not None and since_best >= config.early_stop_patience:
             break
 

@@ -5,6 +5,7 @@ from sysident import (Dataset, ModelConfig, NoiseSpec, Rng, SequenceRecord,
                       build_model, error_spectrum, evaluate,
                       extract_volterra_kernels, fd_volterra_oracle,
                       make_chen_dataset, rmse, simulate_free_run)
+from sysident.data import write_json
 from sysident.errors import DataError, ParameterError, UnsupportedError
 
 
@@ -240,12 +241,13 @@ class TestEvaluate:
         with pytest.raises(ParameterError, match="warmup"):
             evaluate(model, ds, warmup=-5)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         import json
         ds = make_chen_dataset(1, 30, NoiseSpec(0.0, 0.0), seed=24)
         cfg = ModelConfig(family="mlp", hidden=4, order=2)
         model = build_model(cfg, Rng(25))
         rep = evaluate(model, ds, mode="one-step")
-        doc = json.loads(rep.to_json())
+        write_json(tmp_path / "report.json", rep.to_dict())
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["mode"] == "one-step"
         assert len(doc["rmse_per_channel"]) == 1

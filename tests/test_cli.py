@@ -99,6 +99,18 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    def test_validation_channel_mismatch_exit_2(self, tmp_path, capsys):
+        # the shapes clash inside the first validation pass (DimensionError)
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 40, seed=6)
+        val = tmp_path / "val.csv"
+        val.write_text("u1,u2,y1\n1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--val", val, "--hidden", 3,
+                       "--epochs", 2, "--seed", 6, "--out", out) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
     def test_family_dispatch(self, tmp_path, family):
         data = tmp_path / "train.csv"
@@ -210,6 +222,51 @@ class TestEval:
                        "--out", tmp_path / "o") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda d: d["config"].update(hidden="16"), "hidden must be of type int"),
+        (lambda d: d["config"].update(hidden=2.5), "hidden must be of type int"),
+        (lambda d: d["config"].update(depth=True), "depth must be of type int"),
+        (lambda d: d["config"].update(dropout="x"),
+         "dropout must be of type float"),
+        (lambda d: d["config"].update(dilations=1),
+         "dilations must be of type bool"),
+        (lambda d: d["normalization"].pop("y_scale"), "'y_scale'"),
+        (lambda d: d.update(normalization="x"), "'normalization' is not a mapping"),
+        (lambda d: d["normalization"].update(u_mean=[0.0, 0.0]),
+         "'u_mean' must be a list of 1 finite numbers"),
+        (lambda d: d["normalization"].update(y_mean=["1"]), "'y_mean'"),
+        (lambda d: d["normalization"].update(y_mean=[float("nan")]), "'y_mean'"),
+        (lambda d: d["normalization"].update(u_scale=[0.0]), "'u_scale'"),
+    ], ids=["hidden_str", "hidden_float", "depth_bool", "dropout_str",
+            "dilations_int", "norm_missing_key", "norm_not_a_mapping",
+            "norm_wrong_length", "norm_str_value", "norm_nan", "norm_zero_scale"])
+    def test_bad_checkpoint_field_exit_2(self, tmp_path, capsys, tamper, message):
+        ckpt, data = self._oracle_setup(tmp_path)
+        doc = json.loads(ckpt.read_text())
+        doc["normalization"] = {"u_mean": [0.0], "u_scale": [1.0],
+                                "y_mean": [0.0], "y_scale": [1.0]}
+        tamper(doc)
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_valid_normalization_accepted(self, tmp_path):
+        ckpt, data = self._oracle_setup(tmp_path)
+        doc = json.loads(ckpt.read_text())
+        doc["normalization"] = {"u_mean": [0.5], "u_scale": [2],
+                                "y_mean": [0.5], "y_scale": [2.0]}
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--mode", "one-step", "--warmup", 1, "--out", out) == 0
+        report = json.loads((out / "report_one_step.json").read_text())
+        # yhat[0] is the mean 0.5 against y[0] = 0, so skip it
+        assert report["rmse_mean"] == pytest.approx(0.0, abs=1e-12)
+
     @pytest.mark.parametrize("sidecar,message", [
         ('{"segments": [[0, 100]]}', "0 <= start < stop <= 40"),
         ("{broken", "not a JSON document"),
@@ -286,9 +343,10 @@ class TestGridsearch:
         ('{"axes": ["hidden"]}', "must be a mapping"),
         ('{"base": {"family": "tcn"}}', "no 'axes'"),
         ('{"axes": {"hidden": [2]', "not JSON"),
+        ('{"axes": {"hidden": ["4"]}}', "hidden must be of type int"),
     ], ids=["unknown_base_field", "base_not_a_mapping", "unknown_axis",
             "axis_not_a_list", "axes_not_a_mapping", "missing_axes",
-            "not_json"])
+            "not_json", "axis_value_str"])
     def test_malformed_grid_file_exit_2(self, tmp_path, capsys, text, message):
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 30, seed=9)
@@ -340,6 +398,22 @@ class TestVolterra:
         assert len(h1) == 4          # header + 3 lags
         h2 = (out / "h2.csv").read_text().strip().splitlines()
         assert len(h2) == 4          # header + 3 rows
+
+    def test_degree_1_verifies(self, tmp_path):
+        ckpt = self._fir_checkpoint(tmp_path)
+        out = tmp_path / "volterra"
+        assert run_cli("volterra", "--checkpoint", ckpt, "--degree", 1,
+                       "--verify", "--out", out) == 0
+        assert (out / "h1.csv").exists() and not (out / "h2.csv").exists()
+
+    @pytest.mark.parametrize("degree,code", [(0, 2), (-1, 2), (3, 3)])
+    def test_degree_out_of_range(self, tmp_path, capsys, degree, code):
+        ckpt = self._fir_checkpoint(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("volterra", "--checkpoint", ckpt, "--degree", degree,
+                       "--out", out) == code
+        assert "degree" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_relu_checkpoint_exit_3(self, tmp_path, capsys):
         ckpt = self._fir_checkpoint(tmp_path, activation="relu")

@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sysident import (Adam, ModelConfig, NoiseSpec, PlateauScheduler, RMSprop,
-                      Rng, SGDMomentum, TrainConfig, build_model,
-                      make_chen_dataset, mse_loss, predict_one_step, train,
-                      validation_loss)
+from sysident import (Adam, ModelConfig, NoiseSpec, RMSprop, Rng, SGDMomentum,
+                      TrainConfig, build_model, make_chen_dataset, mse_loss,
+                      predict_one_step, train, training, validation_loss)
 from sysident.data import Dataset, SequenceRecord
 from sysident.errors import (ConfigError, DimensionError, NumericError,
                              TrainingDiverged)
@@ -112,36 +111,51 @@ class TestOptimizers:
         assert np.isclose(p[0], -0.1 * 0.5 - 0.1 * 0.75)
 
 
+def plateau_lrs(monkeypatch, losses, lr=0.001, patience=10):
+    """The learning rate of each epoch of train() when validation scores
+    ``losses`` in turn (early stopping off)."""
+    scripted = iter(losses)
+    monkeypatch.setattr(training, "validation_loss",
+                        lambda model, dataset: next(scripted))
+    data = make_chen_dataset(1, 10, NoiseSpec(0.1, 0.1), seed=3)
+    model = build_model(ModelConfig(family="mlp", hidden=2), Rng(4))
+    config = TrainConfig(lr=lr, plateau_patience=patience, lr_factor=0.1,
+                         early_stop_patience=len(losses) + 1,
+                         max_epochs=len(losses), seed=5)
+    _, history = train(model, data, data, config)
+    return history.lr
+
+
 class TestPlateauScheduler:
-    def test_improving_loss_keeps_lr(self):
-        sched = PlateauScheduler(0.001, patience=10)
-        for loss in np.linspace(1.0, 0.1, 30):
-            assert sched.update(loss) == 0.001
+    """The plateau schedule inside train()."""
 
-    def test_fires_after_exactly_ten_stagnant_epochs(self):
-        sched = PlateauScheduler(0.001, patience=10, factor=0.1)
-        sched.update(1.0)
-        for _ in range(9):
-            assert sched.update(1.0) == 0.001
-        assert sched.update(1.0) == pytest.approx(0.0001)
+    def test_improving_loss_keeps_lr(self, monkeypatch):
+        assert plateau_lrs(monkeypatch, np.linspace(1.0, 0.1, 30)) == [0.001] * 30
 
-    def test_counter_resets_after_reduction(self):
-        sched = PlateauScheduler(0.001, patience=3, factor=0.1)
-        sched.update(1.0)
-        losses = [1.0] * 3
-        for loss in losses:
-            sched.update(loss)
-        assert sched.lr == pytest.approx(1e-4)
-        sched.update(1.0)
-        sched.update(1.0)
-        assert sched.lr == pytest.approx(1e-4)   # needs 3 fresh stagnant epochs
-        sched.update(1.0)
-        assert sched.lr == pytest.approx(1e-5)
+    def test_fires_after_exactly_ten_stagnant_epochs(self, monkeypatch):
+        lrs = plateau_lrs(monkeypatch, [1.0] * 12)
+        # epoch 0 sets the best, epochs 1-10 stagnate; the cut applies from 11
+        assert lrs[:11] == [0.001] * 11
+        assert lrs[11] == pytest.approx(0.0001)
 
-    def test_min_lr_floor(self):
-        sched = PlateauScheduler(1e-6, patience=1, factor=0.1, min_lr=1e-6)
-        sched.update(1.0)
-        assert sched.update(1.0) == 1e-6
+    def test_counter_resets_after_reduction(self, monkeypatch):
+        lrs = plateau_lrs(monkeypatch, [1.0] * 8, patience=3)
+        assert lrs[:4] == [0.001] * 4
+        assert lrs[4:7] == pytest.approx([1e-4] * 3)   # 3 fresh stagnant epochs
+        assert lrs[7] == pytest.approx(1e-5)
+
+    def test_new_best_resets_counter(self, monkeypatch):
+        # the new best at epoch 2 restarts the count: no cut after epoch 3
+        lrs = plateau_lrs(monkeypatch, [1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5],
+                          patience=3)
+        assert lrs[:6] == [0.001] * 6
+        assert lrs[6] == pytest.approx(1e-4)
+
+    def test_min_lr_floor(self, monkeypatch):
+        lrs = plateau_lrs(monkeypatch, [1.0] * 4, lr=1e-5, patience=1)
+        assert lrs[:2] == [1e-5] * 2
+        assert lrs[2] == pytest.approx(1e-6)
+        assert lrs[3] == 1e-6
 
 
 def linear_gain_dataset(num_records, length, seed, gain=0.5, role="training"):

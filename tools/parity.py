@@ -11,13 +11,24 @@ warm-started batched free-run and the checkpoint file bytes. The
 the benchmark's TCN training (h32, d4, k4, dilated, batch norm, dropout 0.3,
 20x100 Chen records in batches of 8, so the last batch has 4 rows), whose
 matrix sizes the small cases do not reach. The ``perfbench.*`` cases digest batched and warm-started
-free-run of the committed benchmark models. The script imports sysident from
-the ``src/`` next to it, so running it in two checkouts and diffing the output
-compares their code.
+free-run of the committed benchmark models. The ``cli.*`` cases run seeded
+``sysident`` commands (generate, train --normalize, eval of both modes with a
+band and a warm-up, volterra --verify of a FIR MLP, gridsearch over two
+repetitions) in a temporary directory, with relative paths, and digest every
+file each command writes. Only what varies between identical runs is masked:
+the manifest ``timestamp``, the ``seconds`` column of ``history.csv``, the
+``wall_clock`` column of ``results.csv`` and ``journal.csv``, and the order of
+the journal's lines. The script imports sysident from the ``src/`` next to
+it, so running it in two checkouts and diffing the output compares their
+code.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
+import re
 import sys
 import tempfile
 
@@ -30,6 +41,7 @@ from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
                       build_model, load_checkpoint, make_chen_dataset,
                       predict_one_step, save_checkpoint, simulate_free_run,
                       train)
+from sysident.cli import main as cli_main  # noqa: E402
 
 MODEL_CASES = {
     "lstm_d3_dropout": dict(family="lstm", hidden=8, depth=3, dropout=0.3),
@@ -86,6 +98,68 @@ def model_case(kw, train_set, valid_set, tmp):
     return out
 
 
+GRID = {"axes": {"hidden": [3, 4]},
+        "base": {"family": "tcn", "depth": 1, "kernel_size": 2,
+                 "activation": "tanh"}}
+DATA = ("--data", "gen/train.csv", "--val", "gen/valid.csv")
+CLI_RUNS = (
+    ("generate", "chen", "--records", 4, "--val-records", 2, "--length", 60,
+     "--seed", 21, "--out", "gen"),
+    ("train", *DATA, "--family", "tcn", "--hidden", 6, "--depth", 2,
+     "--kernel-size", 3, "--dilations", "--norm", "batch", "--epochs", 6,
+     "--batch-size", 4, "--subseq-len", 20, "--plateau-patience", 1,
+     "--normalize", "--seed", 22, "--out", "train"),
+    ("eval", "--checkpoint", "train/checkpoint.json", "--data", "gen/valid.csv",
+     "--mode", "both", "--band", 0.05, 0.3, "--warmup", 2, "--seed", 23,
+     "--out", "eval"),
+    # no --val: history.csv gets empty valid_loss cells
+    ("train", "--data", "gen/train.csv", "--family", "mlp", "--fir",
+     "--hidden", 5, "--order", 3,
+     "--activation", "tanh", "--epochs", 3, "--seed", 24, "--out", "fir"),
+    ("volterra", "--checkpoint", "fir/checkpoint.json", "--verify",
+     "--seed", 25, "--out", "volterra"),
+    ("gridsearch", "--grid", "grid.json", *DATA, "--epochs", 2,
+     "--repetitions", 2, "--seed", 26, "--out", "grid"),
+)
+
+
+def drop_last_column(data):
+    return re.sub(rb",[^,\r\n]*(\r?\n)", rb"\1", data)
+
+
+MASKS = {
+    "manifest.json": lambda b: re.sub(rb'"timestamp": "[^"]*"',
+                                      b'"timestamp": ""', b),
+    "history.csv": drop_last_column,
+    "results.csv": drop_last_column,
+    "journal.csv": lambda b: b"".join(
+        sorted(drop_last_column(b).splitlines(keepends=True))),
+}
+
+
+def cli_digests():
+    """Exit code and masked output-file digests of each seeded CLI run."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("grid.json", "w", encoding="utf-8") as fh:
+                json.dump(GRID, fh)
+            for args in CLI_RUNS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main([str(a) for a in args])
+                run = args[-1]
+                out[f"{run}.exit"] = str(code)
+                for name in sorted(os.listdir(run)):
+                    with open(os.path.join(run, name), "rb") as fh:
+                        data = MASKS.get(name, bytes)(fh.read())
+                    out[f"{run}.{name}"] = hashlib.sha256(data).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def main():
     noise = NoiseSpec(sigma_w=0.05)
     train_set = make_chen_dataset(4, 60, noise, seed=1)
@@ -107,6 +181,8 @@ def main():
                                                 f"{name}.json"))
         for item, hexdigest in free_run_digests(model, bench_set.records).items():
             print(f"perfbench.{name}.{item} {hexdigest}")
+    for item, value in cli_digests().items():
+        print(f"cli.{item} {value}")
 
 
 if __name__ == "__main__":
