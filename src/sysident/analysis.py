@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError, UnsupportedError
 from .layers import Activation
-from .models import predict_one_step, receptive_field, simulate_free_run
+from .models import predict_records, receptive_field
 from .data import denormalize_output, normalize_dataset
 
 
@@ -54,29 +54,21 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     prediction and the predictions mapped back, so the report stays in the
     data's original units. ``warmup`` samples are dropped from the start of
     each record before scoring; the report keeps the whole-record predictions.
-    Free-run simulates the records of each length as one batch.
+    Predictions come from ``predict_records``, which groups the records by
+    length: free-run simulates each group as one batch, and an LSTM predicts
+    each group one step ahead in one forward; its rows may differ from
+    one-record predictions in the last bits, because BLAS sums a one-row gate
+    product and a many-row one in a different order. TCN and MLP one-step
+    predictions stay one forward per record, bit for bit equal to
+    ``predict_one_step``: their forward already covers the whole record, and
+    stacking records raised peak memory for at most a small gain in speed.
     """
-    if mode not in ("one-step", "free-run"):
-        raise DataError(f"unknown evaluation mode '{mode}'")
     if warmup < 0:
         raise ParameterError(f"warmup must be >= 0, got {warmup}")
     model_data = dataset
     if normalization is not None:
         model_data = normalize_dataset(dataset, normalization)
-    records = model_data.records
-    if mode == "one-step":
-        preds = [predict_one_step(model, rec) for rec in records]
-    else:
-        # one batched simulation per record length; padding would simulate
-        # a tail that the shorter records do not have
-        preds = [None] * len(records)
-        by_length = {}
-        for i, rec in enumerate(records):
-            by_length.setdefault(rec.length, []).append(i)
-        for group in by_length.values():
-            yhat = simulate_free_run(model, np.stack([records[i].u for i in group]))
-            for i, row in zip(group, yhat):
-                preds[i] = row
+    preds = predict_records(model, model_data.records, mode)
     if normalization is not None:
         preds = [denormalize_output(p, normalization) for p in preds]
     scored = [p[:, warmup:] for p in preds]

@@ -66,6 +66,16 @@ def cmd_generate(args, seed):
     return [], [train_path, valid_path]
 
 
+def _check_channels(dataset, nu, ny, source):
+    """Raise DataError unless ``dataset`` has the ``nu`` inputs and ``ny``
+    outputs of ``source`` (the checkpoint or the training data)."""
+    got_nu = dataset.records[0].u.shape[0]
+    got_ny = dataset.records[0].y.shape[0]
+    if (got_nu, got_ny) != (nu, ny):
+        raise DataError(f"{source} has {nu} inputs / {ny} outputs but the "
+                        f"{dataset.role} data has {got_nu} / {got_ny}")
+
+
 def _model_config_from_args(args, nu, ny):
     return ModelConfig(
         family=args.family, nu=nu, ny=ny, narx=not args.fir,
@@ -87,6 +97,8 @@ def cmd_train(args, seed):
     valid_ds = _load_dataset(args.val, args, "validation") if args.val else None
     nu = train_ds.records[0].u.shape[0]
     ny = train_ds.records[0].y.shape[0]
+    if valid_ds is not None:
+        _check_channels(valid_ds, nu, ny, "the training data")
     config = _model_config_from_args(args, nu, ny)
     norm = None
     if args.normalize:
@@ -110,12 +122,7 @@ def cmd_train(args, seed):
 def cmd_eval(args, seed):
     model, norm_dict = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data, args, "test")
-    ny = dataset.records[0].y.shape[0]
-    nu = dataset.records[0].u.shape[0]
-    if ny != model.config.ny or nu != model.config.nu:
-        raise DataError(
-            f"checkpoint expects {model.config.nu} inputs / {model.config.ny} "
-            f"outputs but the dataset has {nu} / {ny}")
+    _check_channels(dataset, model.config.nu, model.config.ny, "the checkpoint")
     norm = NormConstants.from_dict(norm_dict) if norm_dict else None
     first = dataset.records[0]
     rate = 1.0 if first.sample_rate is None else first.sample_rate
@@ -177,6 +184,7 @@ def cmd_gridsearch(args, seed):
     valid_ds = _load_dataset(args.val, args, "validation")
     nu = train_ds.records[0].u.shape[0]
     ny = train_ds.records[0].y.shape[0]
+    _check_channels(valid_ds, nu, ny, "the training data")
     base = replace(base, nu=nu, ny=ny)
     tc = _train_config_from_args(args, seed)
     journal = os.path.join(args.out, "journal.csv")

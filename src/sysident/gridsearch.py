@@ -200,8 +200,12 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
     only, so results do not depend on worker count or on other axes being
     added. With ``journal_path`` completed rows survive interruption and are
     not re-run; a journal row is reused only when its index, repetition,
-    configuration and seed all match the task.
+    configuration and seed all match the task. ``jobs`` and ``repetitions``
+    below 1 raise ConfigError before anything runs.
     """
+    for name, value in (("jobs", jobs), ("repetitions", repetitions)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     configs = grid_expand(space, base) if isinstance(space, GridSpace) else list(space)
     done = _journal_load(journal_path) if journal_path else {}
     reused, tasks = [], []

@@ -16,7 +16,7 @@ import numpy as np
 from .data import write_csv
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      TrainingDiverged)
-from .models import predict_one_step, shift_right, stack_model_input
+from .models import predict_records, shift_right, stack_model_input
 from .tensor import Rng
 
 
@@ -207,8 +207,9 @@ def validation_loss(model, dataset):
     """
     total = 0.0
     count = 0
-    for record in dataset.records:
-        diff = predict_one_step(model, record) - record.y
+    preds = predict_records(model, dataset.records, "one-step")
+    for record, yhat in zip(dataset.records, preds):
+        diff = yhat - record.y
         total += float(np.sum(diff * diff))
         count += diff.size
     if count == 0:

@@ -27,6 +27,15 @@ def write_linear_dataset(path, num_records, length, seed, gain=0.5):
     save_csv_dataset(Dataset(records=records), path)
 
 
+def write_two_input_dataset(path):
+    path.write_text("u1,u2,y1\n1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+    return path
+
+
+def refuse_training(*args, **kwargs):
+    raise AssertionError("training ran")
+
+
 class TestGenerate:
     def test_chen_sample_counts(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -99,16 +108,21 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
-    def test_validation_channel_mismatch_exit_2(self, tmp_path, capsys):
-        # the shapes clash inside the first validation pass (DimensionError)
+    def test_validation_channel_mismatch_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # rejected before any training, naming both channel counts
+        monkeypatch.setattr(cli, "train", refuse_training)
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 40, seed=6)
-        val = tmp_path / "val.csv"
-        val.write_text("u1,u2,y1\n1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+        val = write_two_input_dataset(tmp_path / "val.csv")
         out = tmp_path / "run"
         assert run_cli("train", "--data", data, "--val", val, "--hidden", 3,
                        "--epochs", 2, "--seed", 6, "--out", out) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("the training data has 1 inputs / 1 outputs but the "
+                "validation data has 2 / 1") in err
+        assert not (out / "checkpoint.json").exists()
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
@@ -177,10 +191,11 @@ class TestEval:
 
     def test_channel_mismatch_exit_2(self, tmp_path, capsys):
         ckpt, _ = self._oracle_setup(tmp_path)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("u1,u2,y1\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        bad = write_two_input_dataset(tmp_path / "bad.csv")
         assert run_cli("eval", "--checkpoint", ckpt, "--data", bad,
                        "--out", tmp_path / "o") == 2
+        assert ("the checkpoint has 1 inputs / 1 outputs but the test data "
+                "has 2 / 1") in capsys.readouterr().err
 
     def test_mismatched_checkpoint_state_exit_2(self, tmp_path, capsys):
         _, data = self._oracle_setup(tmp_path)
@@ -314,6 +329,28 @@ class TestEval:
         assert calls == {"simulate_free_run": 1, "predict_one_step": 3}
         assert records == {"simulate_free_run": 3, "predict_one_step": 3}
 
+        # an LSTM predicts each length group one step ahead in one forward
+        lstm = build_model(ModelConfig(family="lstm", hidden=3, depth=2),
+                           Rng(17))
+        save_checkpoint(lstm, ckpt)
+        rng = Rng(18)
+        mixed = tmp_path / "mixed.csv"
+        save_csv_dataset(Dataset(records=[
+            SequenceRecord(u=rng.gaussian(n), y=rng.gaussian(n))
+            for n in (40, 25, 40, 40)]), mixed)
+        calls.update(simulate_free_run=0, predict_one_step=0)
+        batches = []
+        forward = models.SequenceNet.forward
+
+        def counted_forward(net, x, training=False):
+            batches.append(x.shape[0])
+            return forward(net, x, training)
+        monkeypatch.setattr(models.SequenceNet, "forward", counted_forward)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", mixed,
+                       "--mode", "one-step", "--out", tmp_path / "l") == 0
+        assert sorted(batches) == [1, 3]
+        assert calls == {"simulate_free_run": 0, "predict_one_step": 0}
+
 
 class TestGridsearch:
     def test_six_config_grid(self, tmp_path):
@@ -356,6 +393,42 @@ class TestGridsearch:
                        "--val", data, "--epochs", 1, "--seed", 11,
                        "--out", tmp_path / "sweep") == 2
         assert message in capsys.readouterr().err
+
+    def _sweep_args(self, tmp_path):
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 30, seed=9)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "axes": {"hidden": [2, 3]},
+            "base": {"family": "tcn", "depth": 1, "activation": "tanh"},
+        }))
+        return ("gridsearch", "--grid", grid, "--data", data, "--epochs", 1,
+                "--seed", 11)
+
+    def test_validation_channel_mismatch_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "run_grid", refuse_training)
+        val = write_two_input_dataset(tmp_path / "val.csv")
+        out = tmp_path / "sweep"
+        assert run_cli(*self._sweep_args(tmp_path), "--val", val,
+                       "--out", out) == 2
+        assert ("the training data has 1 inputs / 1 outputs but the "
+                "validation data has 2 / 1") in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", 0), ("--jobs", -3), ("--repetitions", 0),
+        ("--repetitions", -1)],
+        ids=["jobs_0", "jobs_negative", "repetitions_0", "repetitions_negative"])
+    def test_bad_run_counts_exit_2(self, tmp_path, capsys, flag, value):
+        val = tmp_path / "val.csv"
+        write_linear_dataset(val, 1, 30, seed=10)
+        out = tmp_path / "sweep"
+        assert run_cli(*self._sweep_args(tmp_path), "--val", val, flag, value,
+                       "--out", out) == 2
+        name = flag.lstrip("-")
+        assert f"{name} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_corrupt_journal_exit_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"

@@ -187,6 +187,21 @@ class TestRunGrid:
         assert rows[0].seed != rows[1].seed
 
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(jobs=0), "jobs must be >= 1, got 0"),
+        (dict(jobs=-2), "jobs must be >= 1, got -2"),
+        (dict(repetitions=0), "repetitions must be >= 1, got 0"),
+        (dict(repetitions=-1), "repetitions must be >= 1, got -1"),
+    ], ids=["jobs_0", "jobs_negative", "repetitions_0", "repetitions_negative"])
+    def test_bad_run_counts_rejected(self, tmp_path, kw, message):
+        train, valid = tiny_datasets()
+        journal = tmp_path / "journal.csv"
+        with pytest.raises(ConfigError, match=message):
+            run_grid(GridSpace(axes={"hidden": [3]}), train, valid,
+                     tiny_train_config(), journal_path=journal, **kw)
+        assert not journal.exists()
+
+
 class TestSelectBest:
     def _row(self, index, rmse, hidden=4, depth=1):
         cfg = ModelConfig(family="tcn", hidden=hidden, depth=depth,

@@ -4,16 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from sysident import (ModelConfig, Rng, build_model, count_parameters,
-                      free_run_naive, load_checkpoint, predict_one_step,
-                      receptive_field, save_checkpoint, simulate_free_run)
+from sysident import (Dataset, ModelConfig, Rng, build_model, count_parameters,
+                      evaluate, free_run_naive, load_checkpoint,
+                      predict_one_step, receptive_field, save_checkpoint,
+                      simulate_free_run)
 from sysident.data import SequenceRecord
 from sysident.errors import (ConfigError, DataError, DimensionError,
-                             UnsupportedError)
+                             ParameterError, UnsupportedError)
 from sysident.gradcheck import check_model_gradients
 from sysident import models
 from sysident.layers import CausalConv1d, Dropout, _sigmoid
-from sysident.models import lstm_cell_step
+from sysident.models import lstm_cell_step, predict_records
 
 GRAD_TOL = 1e-6
 
@@ -139,6 +140,54 @@ class TestPredictOneStep:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             SequenceRecord(u=np.zeros(5), y=np.zeros(6))
+
+
+class TestPredictRecords:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("narx", [True, False], ids=["narx", "fir"])
+    def test_lstm_rows_match_single_records(self, depth, narx):
+        cfg = ModelConfig(family="lstm", hidden=5, depth=depth, narx=narx,
+                          dropout=0.3)
+        model = build_model(cfg, Rng(40))
+        records = [narx_record(41 + i, length) for i, length in
+                   enumerate((18, 18, 18, 1, 1))]
+        batched = predict_records(model, records, "one-step")
+        for rec, row in zip(records, batched):
+            single = predict_one_step(model, rec)
+            assert row.shape == single.shape == (1, rec.length)
+            # a one-row gate product and a many-row one may go to different
+            # BLAS kernels, which sum in a different order
+            assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+
+    def test_unequal_lengths_come_back_in_record_order(self):
+        model = build_model(ModelConfig(family="lstm", hidden=4, depth=2),
+                            Rng(42))
+        records = [narx_record(43 + i, length)
+                   for i, length in enumerate((18, 11, 18))]
+        preds = predict_records(model, records, "one-step")
+        assert [p.shape for p in preds] == [(1, 18), (1, 11), (1, 18)]
+        for rec, pred in zip(records, preds):
+            single = predict_one_step(model, rec)
+            assert np.max(np.abs(pred - single)) <= 1e-12 * np.max(np.abs(single))
+        assert not np.allclose(preds[0], preds[2])
+
+    @pytest.mark.parametrize("family,kw", [
+        ("tcn", dict(hidden=5, depth=2, kernel_size=3, dilations=True,
+                     activation="tanh")),
+        ("mlp", dict(hidden=6, depth=2, order=4, activation="sigmoid")),
+    ])
+    def test_conv_one_step_bytes_equal_predict_one_step(self, family, kw):
+        model = build_model(ModelConfig(family=family, **kw), Rng(44))
+        records = [narx_record(45 + i, length)
+                   for i, length in enumerate((18, 11, 18, 1))]
+        report = evaluate(model, Dataset(records=records, role="test"))
+        for rec, pred in zip(records, report.predictions):
+            assert pred.tobytes() == predict_one_step(model, rec).tobytes()
+
+    def test_unknown_mode_rejected(self):
+        model = build_model(ModelConfig(family="lstm", hidden=3), Rng(46))
+        with pytest.raises(DataError, match="unknown evaluation mode"):
+            predict_records(model, [narx_record(47)], "two-step")
 
 
 class TestFreeRun:
@@ -339,6 +388,25 @@ class TestLstmCell:
             tops[:, :, t] = h
         assert out.tobytes() == model.head.forward(tops).tobytes()
         assert not np.array_equal(out, model.forward(x, training=False))
+
+    def test_eval_forward_keeps_no_step_caches(self):
+        cfg = ModelConfig(family="lstm", hidden=4, depth=2, dropout=0.3)
+        model = build_model(cfg, Rng(34))
+        x = Rng(35).gaussian((3, 2, 6))
+        model.forward(x, training=True)
+        assert all(len(cell._steps) == 6 for cell in model.cells)
+        model.forward(x, training=False)
+        assert all(cell._steps is None for cell in model.cells)
+
+    def test_backward_needs_training_forward(self):
+        model = build_model(ModelConfig(family="lstm", hidden=4), Rng(36))
+        cell = model.cells[0]
+        grad = np.ones((1, 4, 5))
+        with pytest.raises(ParameterError, match="backward called before forward"):
+            cell.backward(grad)
+        cell.forward(Rng(37).gaussian((1, 2, 5)), training=False)
+        with pytest.raises(ParameterError, match="backward called before forward"):
+            cell.backward(grad)
 
     def test_state_bounds(self):
         cfg = ModelConfig(family="lstm", hidden=6, depth=1)

@@ -13,6 +13,7 @@ from sysident.data import Dataset, SequenceRecord
 from sysident.errors import (ConfigError, DimensionError, NumericError,
                              TrainingDiverged)
 from sysident.gradcheck import numerical_gradient, relative_error
+from sysident.models import predict_records
 
 
 class TestMseLoss:
@@ -232,6 +233,26 @@ class TestTrain:
         assert validation_loss(model, vs) == pytest.approx(np.mean(sq),
                                                            rel=1e-15)
 
+    def test_lstm_validation_runs_one_forward_per_length(self, monkeypatch):
+        records = [r for n, seed in ((30, 35), (45, 36), (30, 37))
+                   for r in make_chen_dataset(1, n, NoiseSpec(0.2, 0.2),
+                                              seed=seed).records]
+        vs = Dataset(records=records, role="validation")
+        model = build_model(ModelConfig(family="lstm", hidden=4, depth=2),
+                            Rng(38))
+        sq = np.concatenate([(p - r.y).ravel() ** 2 for r, p in zip(
+            records, predict_records(model, records, "one-step"))])
+        batches = []
+        forward = type(model).forward
+
+        def counted(net, x, training=False):
+            batches.append(x.shape[0])
+            return forward(net, x, training)
+        monkeypatch.setattr(type(model), "forward", counted)
+        assert validation_loss(model, vs) == pytest.approx(np.mean(sq),
+                                                           rel=1e-15)
+        assert batches == [2, 1]
+
     def test_descent_on_first_epochs_with_small_lr(self):
         ds = make_chen_dataset(4, 50, NoiseSpec(0.1, 0.1), seed=12)
         cfg = ModelConfig(family="tcn", hidden=6, depth=1, kernel_size=2,
@@ -362,17 +383,46 @@ for seed, kw in enumerate((
 """
 
 
-def test_gradients_independent_of_blas_thread_count():
+# LSTM one-step evaluation of three equally long records, which runs as one
+# (3, C, T) forward whose gate products go to a many-row BLAS kernel
+_THREADED_ONE_STEP = """
+import hashlib
+from sysident import (ModelConfig, NoiseSpec, Rng, build_model, evaluate,
+                      make_chen_dataset)
+
+model = build_model(ModelConfig(family="lstm", hidden=64, depth=2), Rng(3))
+data = make_chen_dataset(3, 100, NoiseSpec(0.3, 0.3), seed=4, role="test")
+report = evaluate(model, data, mode="one-step")
+h = hashlib.sha256()
+for pred in report.predictions:
+    h.update(pred.tobytes())
+print("lstm", h.hexdigest())
+"""
+
+
+def _digests_at_thread_counts(script):
+    """The script's output lines at 1 and at 2 BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        result = subprocess.run([sys.executable, "-c", _THREADED_GRADS],
+        result = subprocess.run([sys.executable, "-c", script],
                                 env=env, capture_output=True, text=True,
                                 timeout=120)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout.splitlines())
+    return digests
+
+
+def test_gradients_independent_of_blas_thread_count():
+    digests = _digests_at_thread_counts(_THREADED_GRADS)
     assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
+def test_lstm_one_step_independent_of_blas_thread_count():
+    digests = _digests_at_thread_counts(_THREADED_ONE_STEP)
+    assert len(digests[0]) == 1
     assert digests[0] == digests[1]

@@ -10,12 +10,13 @@ warm-started batched free-run and the checkpoint file bytes. The
 ``tcn_bench_epoch`` case digests the same trained items after one epoch of
 the benchmark's TCN training (h32, d4, k4, dilated, batch norm, dropout 0.3,
 20x100 Chen records in batches of 8, so the last batch has 4 rows), whose
-matrix sizes the small cases do not reach. The ``perfbench.*`` cases digest batched and warm-started
-free-run of the committed benchmark models. The ``cli.*`` cases run seeded
-``sysident`` commands (generate, train --normalize, eval of both modes with a
-band and a warm-up, volterra --verify of a FIR MLP, gridsearch over two
-repetitions) in a temporary directory, with relative paths, and digest every
-file each command writes. Only what varies between identical runs is masked:
+matrix sizes the small cases do not reach. The ``perfbench.*`` cases digest
+batched and warm-started free-run of the committed benchmark models, and their
+``evaluate`` one-step predictions on a 10-record set (one 10-row forward for
+the LSTM). The ``cli.*`` cases run seeded ``sysident`` commands (generate,
+train --normalize, eval of both modes with a band and a warm-up, volterra
+--verify of a FIR MLP, gridsearch over two repetitions) in a temporary
+directory, with relative paths, and digest every file each command writes. Only what varies between identical runs is masked:
 the manifest ``timestamp``, the ``seconds`` column of ``history.csv``, the
 ``wall_clock`` column of ``results.csv`` and ``journal.csv``, and the order of
 the journal's lines. The script imports sysident from the ``src/`` next to
@@ -38,7 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
-                      build_model, load_checkpoint, make_chen_dataset,
+                      build_model, evaluate, load_checkpoint, make_chen_dataset,
                       predict_one_step, save_checkpoint, simulate_free_run,
                       train)
 from sysident.cli import main as cli_main  # noqa: E402
@@ -176,11 +177,14 @@ def main():
                            TrainConfig(max_epochs=1, batch_size=8, seed=14))
     print(f"tcn_bench_epoch.trained {trained_digest(model, history)}")
     bench_set = make_chen_dataset(3, 300, noise, seed=3, role="test")
+    one_step_set = make_chen_dataset(10, 100, bench_noise, seed=6, role="test")
     for name in BENCH_MODELS:
         model, _ = load_checkpoint(os.path.join(ROOT, "perfbench", "models",
                                                 f"{name}.json"))
         for item, hexdigest in free_run_digests(model, bench_set.records).items():
             print(f"perfbench.{name}.{item} {hexdigest}")
+        report = evaluate(model, one_step_set, mode="one-step")
+        print(f"perfbench.{name}.one_step {digest(*report.predictions)}")
     for item, value in cli_digests().items():
         print(f"cli.{item} {value}")
 
