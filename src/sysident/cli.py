@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -24,10 +24,12 @@ from .data import (NoiseSpec, NormConstants, compute_norm_constants,
                    save_csv_dataset, write_csv, write_json)
 from .errors import (ConfigError, DataError, NumericError, SysidentError,
                      UnsupportedError)
-from .gridsearch import GridSpace, run_grid, select_best, write_results_csv
-from .models import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from .gridsearch import GridRow, GridSpace, run_grid, select_best
+from .layers import ACTIVATIONS, NORM_KINDS
+from .models import (FAMILIES, ModelConfig, build_model, load_checkpoint,
+                     save_checkpoint)
 from .tensor import Rng, derive_seed
-from .training import TrainConfig, train
+from .training import OPTIMIZERS, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,40 +68,69 @@ def cmd_generate(args, seed):
     return [], [train_path, valid_path]
 
 
+def _channels(dataset):
+    return dataset.records[0].u.shape[0], dataset.records[0].y.shape[0]
+
+
 def _check_channels(dataset, nu, ny, source):
     """Raise DataError unless ``dataset`` has the ``nu`` inputs and ``ny``
     outputs of ``source`` (the checkpoint or the training data)."""
-    got_nu = dataset.records[0].u.shape[0]
-    got_ny = dataset.records[0].y.shape[0]
+    got_nu, got_ny = _channels(dataset)
     if (got_nu, got_ny) != (nu, ny):
         raise DataError(f"{source} has {nu} inputs / {ny} outputs but the "
                         f"{dataset.role} data has {got_nu} / {got_ny}")
 
 
+def _load_train_valid(args):
+    """The ``--data`` training set and the ``--val`` validation set (None
+    without ``--val``), whose channels must match the training set's."""
+    train_ds = _load_dataset(args.data, args, "training")
+    valid_ds = _load_dataset(args.val, args, "validation") if args.val else None
+    if valid_ds is not None:
+        _check_channels(valid_ds, *_channels(train_ds), "the training data")
+    return train_ds, valid_ds
+
+
+# the config fields that model and training flags set; a flag is named after
+# its field (max_epochs: --epochs), has the field's type and default, and
+# takes its choices from the tuple that the owning module validates against
+_MODEL_FIELDS = ("family", "hidden", "depth", "kernel_size", "order",
+                 "dropout", "norm", "activation")
+_TRAIN_FIELDS = ("lr", "max_epochs", "batch_size", "subseq_len",
+                 "plateau_patience", "lr_factor", "early_stop_patience",
+                 "optimizer")
+_DESTS = {"max_epochs": "epochs"}
+_CHOICES = {"family": FAMILIES, "norm": NORM_KINDS, "activation": ACTIVATIONS,
+            "optimizer": tuple(OPTIMIZERS)}
+
+
+def _add_config_flags(parser, config_type, names):
+    defaults = config_type()
+    types = {f.name: f.type for f in fields(config_type)}
+    for name in names:
+        parser.add_argument("--" + _DESTS.get(name, name).replace("_", "-"),
+                            type=types[name], default=getattr(defaults, name),
+                            choices=_CHOICES.get(name))
+
+
+def _config_from_args(config_type, names, args, **fixed):
+    return config_type(**{n: getattr(args, _DESTS.get(n, n)) for n in names},
+                       **fixed)
+
+
 def _model_config_from_args(args, nu, ny):
-    return ModelConfig(
-        family=args.family, nu=nu, ny=ny, narx=not args.fir,
-        hidden=args.hidden, depth=args.depth, kernel_size=args.kernel_size,
-        dilations=args.dilations, order=args.order, dropout=args.dropout,
-        norm=args.norm, activation=args.activation)
+    return _config_from_args(ModelConfig, _MODEL_FIELDS, args, nu=nu, ny=ny,
+                             narx=not args.fir, dilations=args.dilations)
 
 
 def _train_config_from_args(args, seed):
-    return TrainConfig(
-        lr=args.lr, max_epochs=args.epochs, batch_size=args.batch_size,
-        subseq_len=args.subseq_len, seed=seed,
-        plateau_patience=args.plateau_patience, lr_factor=args.lr_factor,
-        early_stop_patience=args.early_stop_patience, optimizer=args.optimizer)
+    return _config_from_args(TrainConfig, _TRAIN_FIELDS, args, seed=seed)
 
 
 def cmd_train(args, seed):
-    train_ds = _load_dataset(args.data, args, "training")
-    valid_ds = _load_dataset(args.val, args, "validation") if args.val else None
-    nu = train_ds.records[0].u.shape[0]
-    ny = train_ds.records[0].y.shape[0]
-    if valid_ds is not None:
-        _check_channels(valid_ds, nu, ny, "the training data")
-    config = _model_config_from_args(args, nu, ny)
+    train_config = _train_config_from_args(args, seed)
+    train_ds, valid_ds = _load_train_valid(args)
+    config = _model_config_from_args(args, *_channels(train_ds))
     norm = None
     if args.normalize:
         norm = compute_norm_constants(train_ds)
@@ -107,8 +138,7 @@ def cmd_train(args, seed):
         if valid_ds is not None:
             valid_ds = normalize_dataset(valid_ds, norm)
     model = build_model(config, Rng(seed))
-    model, history = train(model, train_ds, valid_ds,
-                           _train_config_from_args(args, seed))
+    model, history = train(model, train_ds, valid_ds, train_config)
     ckpt_path = os.path.join(args.out, "checkpoint.json")
     hist_path = os.path.join(args.out, "history.csv")
     save_checkpoint(model, ckpt_path,
@@ -180,18 +210,16 @@ def cmd_gridsearch(args, seed):
         raise ConfigError(f"grid file {args.grid} has no 'axes' entry")
     space = GridSpace(axes=doc["axes"])
     base = ModelConfig.from_dict(doc.get("base", {}))
-    train_ds = _load_dataset(args.data, args, "training")
-    valid_ds = _load_dataset(args.val, args, "validation")
-    nu = train_ds.records[0].u.shape[0]
-    ny = train_ds.records[0].y.shape[0]
-    _check_channels(valid_ds, nu, ny, "the training data")
-    base = replace(base, nu=nu, ny=ny)
     tc = _train_config_from_args(args, seed)
+    train_ds, valid_ds = _load_train_valid(args)
+    nu, ny = _channels(train_ds)
+    base = replace(base, nu=nu, ny=ny)
     journal = os.path.join(args.out, "journal.csv")
     rows = run_grid(space, train_ds, valid_ds, tc, base=base, jobs=args.jobs,
                     journal_path=journal, repetitions=args.repetitions)
     results_path = os.path.join(args.out, "results.csv")
-    write_results_csv(rows, results_path)
+    write_csv(results_path, [f.name for f in fields(GridRow)],
+              (row.to_csv_row() for row in rows))
     best_config, best_score = select_best(rows, metric=args.metric)
     best_path = os.path.join(args.out, "best.json")
     write_json(best_path, {"config": best_config.to_dict(),
@@ -236,32 +264,14 @@ def _add_column_flags(parser):
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--family", choices=["tcn", "mlp", "lstm"], default="tcn")
-    parser.add_argument("--hidden", type=int, default=16)
-    parser.add_argument("--depth", type=int, default=1)
-    parser.add_argument("--kernel-size", type=int, default=2)
+    _add_config_flags(parser, ModelConfig, _MODEL_FIELDS)
     parser.add_argument("--dilations", action="store_true")
-    parser.add_argument("--order", type=int, default=2)
-    parser.add_argument("--dropout", type=float, default=0.0)
-    parser.add_argument("--norm", choices=["batch", "weight", "none"],
-                        default="none")
-    parser.add_argument("--activation", choices=["relu", "sigmoid", "tanh"],
-                        default="relu")
     parser.add_argument("--fir", action="store_true",
                         help="input-only model (no output feedback)")
 
 
 def _add_train_flags(parser):
-    parser.add_argument("--lr", type=float, default=0.001)
-    parser.add_argument("--epochs", type=int, default=300)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--subseq-len", type=int, default=100)
-    parser.add_argument("--plateau-patience", type=int, default=10)
-    parser.add_argument("--lr-factor", type=float, default=0.1)
-    parser.add_argument("--early-stop-patience", type=int, default=30)
-    parser.add_argument("--optimizer",
-                        choices=["adam", "rmsprop", "sgd_momentum"],
-                        default="adam")
+    _add_config_flags(parser, TrainConfig, _TRAIN_FIELDS)
     parser.add_argument("--normalize", action="store_true",
                         help="standardize channels with training statistics")
 

@@ -78,8 +78,9 @@ class NoiseSpec:
     sigma_w: float = 0.0   # additive measurement noise
 
     def __post_init__(self):
-        if self.sigma_v < 0 or self.sigma_w < 0:
-            raise ParameterError("noise standard deviations must be >= 0")
+        if not all(0.0 <= s < math.inf for s in (self.sigma_v, self.sigma_w)):
+            raise ParameterError("noise standard deviations must be finite "
+                                 f"and >= 0, got {self.sigma_v}, {self.sigma_w}")
 
 
 CHEN_BLOWUP_LIMIT = 1e6
@@ -284,9 +285,7 @@ def save_csv_dataset(dataset, path):
         start += rec.length
     if records[0].sample_rate is not None:
         meta["sample_rate"] = records[0].sample_rate
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-        fh.write("\n")
+    write_json(_meta_path(path), meta)
 
 
 # ---------------------------------------------------------------------------

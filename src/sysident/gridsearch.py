@@ -109,11 +109,9 @@ class GridRow:
     best_epoch: Optional[int]
     wall_clock: float
 
-    _FIELDS = ("index", "repetition", "config", "seed", "status",
-               "rmse_one_step", "rmse_free_run", "best_epoch", "wall_clock")
-
     def to_csv_row(self):
-        # csv writes floats with repr() and None as an empty cell
+        # one cell per field, in field order; csv writes floats with repr()
+        # and None as an empty cell
         return [self.index, self.repetition, json.dumps(self.config, sort_keys=True),
                 self.seed, self.status, self.rmse_one_step, self.rmse_free_run,
                 self.best_epoch, f"{self.wall_clock:.3f}"]
@@ -151,8 +149,9 @@ def _run_single(payload):
 
 
 def _journal_append(path, row):
+    # the line format of data.write_csv, one row per append
     with open(path, "a", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(row.to_csv_row())
+        csv.writer(fh, lineterminator="\n").writerow(row.to_csv_row())
 
 
 def _task_key(index, repetition, config, seed):
@@ -194,7 +193,8 @@ def _journal_load(path):
 
 def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
              journal_path=None, repetitions=1):
-    """Train every configuration of the grid; returns rows sorted by index.
+    """Train every configuration of the GridSpace ``space`` over ``base``;
+    returns rows sorted by index.
 
     Per-configuration seeds derive from (train_config.seed, index, repetition)
     only, so results do not depend on worker count or on other axes being
@@ -206,7 +206,7 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
     for name, value in (("jobs", jobs), ("repetitions", repetitions)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    configs = grid_expand(space, base) if isinstance(space, GridSpace) else list(space)
+    configs = grid_expand(space, base)
     done = _journal_load(journal_path) if journal_path else {}
     reused, tasks = [], []
     for rep in range(repetitions):
@@ -269,10 +269,3 @@ def marginal_quartiles(rows, axis, metric="one-step"):
         out[value] = (float(q1), float(q2), float(q3))
     return out
 
-
-def write_results_csv(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GridRow._FIELDS)
-        for row in rows:
-            writer.writerow(row.to_csv_row())

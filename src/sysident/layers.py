@@ -5,9 +5,10 @@ whatever its backward pass needs during forward; ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
-The causal convolution's forward pass and streaming ``step`` contract with
-``np.einsum`` and its default (non-optimized) kernels, so that full-sequence
-and streaming evaluation produce bitwise-identical numbers. Its input gradient
+The causal convolution's forward pass and streaming ``step`` run one tap loop
+of ``np.einsum`` contractions with its default (non-optimized) kernels, so
+that full-sequence and streaming evaluation produce bitwise-identical
+numbers. Its input gradient
 uses ``np.matmul``, which reduces over the output channels only. Its weight
 gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
 GEMM changes that summation order with its thread count, so trained weights
@@ -201,12 +202,18 @@ class CausalConv1d(Layer):
         else:
             xpad = x
         w = self.effective_weight()
-        out = np.zeros((b_sz, self.out_channels, t_len))
+        self._cache = (xpad, w, t_len)
+        return self._taps(w, xpad, t_len)
+
+    def _taps(self, w, xpad, t_len):
+        """Bias plus one einsum per tap over the last ``t_len`` columns of
+        ``xpad``: the tap loop of ``forward`` and of ``step`` alike."""
+        pad = xpad.shape[2] - t_len
+        out = np.zeros((xpad.shape[0], self.out_channels, t_len))
         for i in range(self.kernel_size):
             start = pad - i * self.dilation
             out += np.einsum("oc,bct->bot", w[:, :, i], xpad[:, :, start:start + t_len])
         out += self.params["b"][None, :, None]
-        self._cache = (xpad, w, t_len)
         return out
 
     def backward(self, grad):
@@ -244,17 +251,12 @@ class CausalConv1d(Layer):
         self._w = self.effective_weight()
 
     def step(self, col):
-        """One new output column from the last ``receptive_field`` inputs."""
-        buf, w = self._buf, self._w
+        """One new output column: ``forward``'s tap loop over the ring buffer
+        with two output columns, of which the last is kept."""
+        buf = self._buf
         buf[:, :, :-1] = buf[:, :, 1:]
         buf[:, :, -1:] = col
-        width = buf.shape[2]
-        out = np.zeros((buf.shape[0], self.out_channels, 2))
-        for i in range(self.kernel_size):
-            end = width - i * self.dilation
-            out += np.einsum("oc,bct->bot", w[:, :, i], buf[:, :, end - 2:end])
-        out += self.params["b"][None, :, None]
-        return out[:, :, -1:]
+        return self._taps(self._w, buf, 2)[:, :, -1:]
 
 
 def _sigmoid(x):
@@ -331,14 +333,16 @@ class BatchNorm(Layer):
 
     Training mode normalizes with batch statistics (biased variance) and
     updates running statistics by exponential moving average; evaluation mode
-    normalizes with the stored running statistics.
+    normalizes with the stored running statistics. ``backward`` needs a
+    training-mode ``forward`` before it: an evaluation forward caches nothing.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    eps = 1e-5         # added to the variance
+    momentum = 0.1     # weight of the newest batch in the running statistics
+
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self._register("gamma", np.ones(channels))
         self._register("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -357,8 +361,7 @@ class BatchNorm(Layer):
     def forward(self, x, training=False):
         self._check_input(x)
         if training:
-            count = x.shape[0] * x.shape[2]
-            if count < 2:
+            if x.shape[0] * x.shape[2] < 2:
                 raise DataError(
                     "batch norm needs at least 2 samples per channel in training mode"
                 )
@@ -368,24 +371,17 @@ class BatchNorm(Layer):
             self.running_mean += self.momentum * mu
             self.running_var *= 1.0 - self.momentum
             self.running_var += self.momentum * var
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu[None, :, None]) * inv[None, :, None]
-            self._cache = ("train", xhat, inv, count)
-            return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        xc = x - self.running_mean[None, :, None]
-        self._cache = ("eval", xc, inv, None)
-        return self.params["gamma"][None, :, None] * (xc * inv[None, :, None]) \
-            + self.params["beta"][None, :, None]
+        else:
+            mu, var = self.running_mean, self.running_var
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mu[None, :, None]) * inv[None, :, None]
+        self._cache = (xhat, inv) if training else None
+        return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
 
     def backward(self, grad):
-        mode, cached, inv, count = self._cache
-        if mode == "eval":
-            xc = cached
-            self.grads["beta"] += grad.sum(axis=(0, 2))
-            self.grads["gamma"] += (grad * xc * inv[None, :, None]).sum(axis=(0, 2))
-            return grad * (self.params["gamma"] * inv)[None, :, None]
-        xhat = cached
+        if self._cache is None:
+            raise ParameterError("backward called before forward (in training mode)")
+        xhat, inv = self._cache
         self.grads["beta"] += grad.sum(axis=(0, 2))
         self.grads["gamma"] += (grad * xhat).sum(axis=(0, 2))
         dxhat = grad * self.params["gamma"][None, :, None]

@@ -31,11 +31,10 @@ class TrainConfig:
     subseq_len: int = 100
     seed: int = 0
     optimizer: str = "adam"
-    shuffle: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:    # NaN fails too
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigError(f"lr factor must lie in (0, 1), got {self.lr_factor}")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
@@ -64,7 +63,11 @@ def mse_loss(yhat, y):
 
 
 class _Optimizer:
-    """Shared bookkeeping: per-parameter state keyed by name, in-place updates."""
+    """Shared bookkeeping: per-parameter state keyed by name, in-place updates.
+
+    Only the learning rate is a setting; each optimizer's decay rates are
+    class constants.
+    """
 
     def __init__(self, named_params, lr):
         self.named_params = list(named_params)
@@ -83,9 +86,10 @@ class _Optimizer:
 
 
 class Adam(_Optimizer):
-    def __init__(self, named_params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, lr):
         super().__init__(named_params, lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {n: np.zeros_like(p) for n, p in self.named_params}
         self.v = {n: np.zeros_like(p) for n, p in self.named_params}
         self.t = 0
@@ -107,9 +111,10 @@ class Adam(_Optimizer):
 
 
 class RMSprop(_Optimizer):
-    def __init__(self, named_params, lr=0.001, decay=0.9, eps=1e-8):
+    decay, eps = 0.9, 1e-8
+
+    def __init__(self, named_params, lr):
         super().__init__(named_params, lr)
-        self.decay, self.eps = decay, eps
         self.v = {n: np.zeros_like(p) for n, p in self.named_params}
 
     def _update(self, name, param, grad):
@@ -122,9 +127,10 @@ class RMSprop(_Optimizer):
 class SGDMomentum(_Optimizer):
     """Gradient descent with a first-order low-pass filter on the gradients."""
 
-    def __init__(self, named_params, lr=0.001, momentum=0.9):
+    momentum = 0.9
+
+    def __init__(self, named_params, lr):
         super().__init__(named_params, lr)
-        self.momentum = momentum
         self.vel = {n: np.zeros_like(p) for n, p in self.named_params}
 
     def _update(self, name, param, grad):
@@ -135,10 +141,6 @@ class SGDMomentum(_Optimizer):
 
 
 OPTIMIZERS = {"adam": Adam, "rmsprop": RMSprop, "sgd_momentum": SGDMomentum}
-
-
-def make_optimizer(model, config):
-    return OPTIMIZERS[config.optimizer](model.named_parameters(), config.lr)
 
 
 MIN_LR = 1e-6   # floor of the plateau schedule
@@ -242,7 +244,7 @@ def train(model, train_set, valid_set, config):
     """
     windows = build_windows(train_set, model.config.narx, config.subseq_len)
     shuffle_rng = Rng(config.seed).split()
-    optimizer = make_optimizer(model, config)
+    optimizer = OPTIMIZERS[config.optimizer](model.named_parameters(), config.lr)
     history = TrainHistory()
     best_loss = np.inf
     best_snapshot = None
@@ -250,10 +252,7 @@ def train(model, train_set, valid_set, config):
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
-        if config.shuffle:
-            order = shuffle_rng.permutation(len(windows))
-        else:
-            order = np.arange(len(windows))
+        order = shuffle_rng.permutation(len(windows))
         sq_sum = 0.0
         n_elems = 0
         for batch_idx in _batches(windows, order, config.batch_size):

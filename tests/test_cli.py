@@ -1,11 +1,15 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from sysident import ModelConfig, Rng, build_model, save_checkpoint
+from sysident import ModelConfig, Rng, TrainConfig, build_model, save_checkpoint
 from sysident import analysis, cli, models
+from sysident.layers import ACTIVATIONS, NORM_KINDS
+from sysident.models import FAMILIES
+from sysident.training import OPTIMIZERS
 from sysident.cli import main
 from sysident.data import Dataset, SequenceRecord, save_csv_dataset
 
@@ -67,6 +71,16 @@ class TestGenerate:
         assert (a / "train.csv").read_bytes() == (b / "train.csv").read_bytes()
         assert (a / "valid.csv").read_bytes() == (b / "valid.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma-v", "nan"), ("--sigma-v", "inf"), ("--sigma-w", "nan"),
+        ("--sigma-w", "inf")])
+    def test_non_finite_noise_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gen"
+        assert run_cli("generate", "chen", "--records", 2, "--length", 20,
+                       flag, value, "--seed", 3, "--out", out) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestTrain:
     def test_recovers_linear_gain_through_cli(self, tmp_path):
@@ -107,6 +121,17 @@ class TestTrain:
                        "--seed", 6, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lr_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setattr(cli, "train", refuse_training)
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 40, seed=6)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--lr", value, "--seed", 6,
+                       "--out", out) == 2
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_validation_channel_mismatch_exit_2(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -430,6 +455,14 @@ class TestGridsearch:
         assert f"{name} must be >= 1, got {value}" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_non_finite_lr_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_grid", refuse_training)
+        out = tmp_path / "sweep"
+        assert run_cli(*self._sweep_args(tmp_path), "--val",
+                       tmp_path / "train.csv", "--lr", "nan", "--out", out) == 2
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_corrupt_journal_exit_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         val = tmp_path / "val.csv"
@@ -511,3 +544,29 @@ def test_eval_numeric_outputs_reproducible(tmp_path):
                 "one-step", "--seed", 0, "--out", out)
         outs.append((out / "predictions_one_step.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+class TestFlagsComeFromConfigTypes:
+    def _subcommand_actions(self, name):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {a.dest: a for a in sub.choices[name]._actions}
+
+    def test_train_defaults_are_config_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d.csv"])
+        assert cli._model_config_from_args(args, 1, 1) == ModelConfig()
+        assert cli._train_config_from_args(args, 17) == TrainConfig(seed=17)
+
+    def test_gridsearch_defaults_are_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["gridsearch", "--grid", "g.json", "--data", "d.csv",
+             "--val", "v.csv"])
+        assert cli._train_config_from_args(args, 17) == TrainConfig(seed=17)
+
+    @pytest.mark.parametrize("command,dest,owner", [
+        ("train", "family", FAMILIES), ("train", "norm", NORM_KINDS),
+        ("train", "activation", ACTIVATIONS),
+        ("train", "optimizer", tuple(OPTIMIZERS)),
+        ("gridsearch", "optimizer", tuple(OPTIMIZERS))])
+    def test_choices_are_the_owning_tuple(self, command, dest, owner):
+        assert tuple(self._subcommand_actions(command)[dest].choices) == owner

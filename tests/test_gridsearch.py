@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from sysident import (GridRow, GridSpace, ModelConfig, NoiseSpec, Rng,
                       chen_tcn_space, derive_seed, f16_tcn_space, grid_expand,
                       make_chen_dataset, marginal_quartiles, run_grid,
                       select_best)
+from sysident import gridsearch
+from sysident.data import write_csv
 from sysident.errors import ConfigError, DataError
-from sysident.gridsearch import write_results_csv
 
 
 class TestGridExpand:
@@ -130,7 +132,32 @@ class TestRunGrid:
         assert [(r.index, r.rmse_one_step) for r in resumed] == \
                [(r.index, r.rmse_one_step) for r in rows]
         lines = journal.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 2 and all(line.endswith(b"\r\n") for line in lines)
+        assert len(lines) == 2 and all(
+            line.endswith(b"\n") and not line.endswith(b"\r\n") for line in lines)
+
+    def test_crlf_journal_resumes_without_retraining(self, tmp_path,
+                                                     monkeypatch):
+        # journals written before lines ended in a bare newline used CRLF
+        train, valid = tiny_datasets()
+        space = GridSpace(axes={"hidden": [3, 4]})
+        base = ModelConfig(family="tcn", depth=1, kernel_size=2,
+                           activation="tanh")
+        journal = tmp_path / "journal.csv"
+        rows = run_grid(space, train, valid, tiny_train_config(), base=base,
+                        journal_path=journal)
+        crlf = journal.read_bytes().replace(b"\n", b"\r\n")
+        journal.write_bytes(crlf)
+
+        def refuse_training(*args, **kwargs):
+            raise AssertionError("training ran")
+        monkeypatch.setattr(gridsearch, "train", refuse_training)
+        resumed = run_grid(space, train, valid, tiny_train_config(), base=base,
+                           journal_path=journal)
+        assert [(r.index, r.seed, r.status, r.rmse_one_step, r.rmse_free_run,
+                 r.best_epoch) for r in resumed] == \
+               [(r.index, r.seed, r.status, r.rmse_one_step, r.rmse_free_run,
+                 r.best_epoch) for r in rows]
+        assert journal.read_bytes() == crlf
 
     def test_malformed_earlier_journal_line_rejected(self, tmp_path):
         train, valid = tiny_datasets()
@@ -274,10 +301,13 @@ def test_results_csv_round_trip(tmp_path):
                     status="failed", rmse_one_step=None, rmse_free_run=None,
                     best_epoch=None, wall_clock=0.5)]
     path = tmp_path / "results.csv"
-    write_results_csv(rows, path)
+    write_csv(path, [f.name for f in fields(GridRow)],
+              [row.to_csv_row() for row in rows])
     with open(path, newline="", encoding="utf-8") as fh:
         header, *raw = csv.reader(fh)
-    assert tuple(header) == GridRow._FIELDS
+    assert header == ["index", "repetition", "config", "seed", "status",
+                      "rmse_one_step", "rmse_free_run", "best_epoch",
+                      "wall_clock"]
     back = [GridRow.from_csv_row(r) for r in raw]
     assert len(back) == 2
     assert back[0].rmse_one_step == 0.25

@@ -98,18 +98,18 @@ class TestOptimizers:
 
     def test_rmsprop_scales_by_gradient_history(self):
         params, p = _single_param([0.0])
-        opt = RMSprop(params, lr=0.01, decay=0.9)
+        opt = RMSprop(params, lr=0.01)
         opt.step([("w", np.array([2.0]))])
         # v = 0.1 * 4; step = lr * 2 / (sqrt(0.4) + eps)
         assert np.isclose(p[0], -0.01 * 2.0 / (np.sqrt(0.4) + 1e-8))
 
     def test_momentum_low_pass(self):
         params, p = _single_param([0.0])
-        opt = SGDMomentum(params, lr=0.1, momentum=0.5)
+        opt = SGDMomentum(params, lr=0.1)
         opt.step([("w", np.array([1.0]))])
-        assert np.isclose(p[0], -0.1 * 0.5)    # vel = (1-mu) g
+        assert np.isclose(p[0], -0.1 * 0.1)    # vel = (1-mu) g, mu = 0.9
         opt.step([("w", np.array([1.0]))])
-        assert np.isclose(p[0], -0.1 * 0.5 - 0.1 * 0.75)
+        assert np.isclose(p[0], -0.1 * 0.1 - 0.1 * 0.19)   # vel = 0.09 + 0.1
 
 
 def plateau_lrs(monkeypatch, losses, lr=0.001, patience=10):
@@ -259,7 +259,7 @@ class TestTrain:
                           activation="tanh")
         model = build_model(cfg, Rng(13))
         tc = TrainConfig(max_epochs=5, batch_size=4, subseq_len=50, seed=13,
-                         lr=1e-4, shuffle=False)
+                         lr=1e-4)
         _, hist = train(model, ds, None, tc)
         assert hist.train_loss[-1] < hist.train_loss[0]
 
