@@ -270,12 +270,6 @@ def _add_model_flags(parser):
                         help="input-only model (no output feedback)")
 
 
-def _add_train_flags(parser):
-    _add_config_flags(parser, TrainConfig, _TRAIN_FIELDS)
-    parser.add_argument("--normalize", action="store_true",
-                        help="standardize channels with training statistics")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sysident",
@@ -300,7 +294,9 @@ def build_parser():
     p.add_argument("--val")
     _add_column_flags(p)
     _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig, _TRAIN_FIELDS)
+    p.add_argument("--normalize", action="store_true",
+                   help="standardize channels with training statistics")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="out_train")
     p.set_defaults(func=cmd_train)
@@ -322,7 +318,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--val", required=True)
     _add_column_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p, TrainConfig, _TRAIN_FIELDS)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--metric", choices=["one-step", "free-run"],

@@ -5,11 +5,13 @@ whatever its backward pass needs during forward; ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
-The causal convolution's forward pass and streaming ``step`` run one tap loop
-of ``np.einsum`` contractions with its default (non-optimized) kernels, so
-that full-sequence and streaming evaluation produce bitwise-identical
-numbers. Its input gradient
-uses ``np.matmul``, which reduces over the output channels only. Its weight
+The causal convolution's forward pass and streaming ``step`` each run one
+``np.einsum`` contraction, with its default (non-optimized) kernels, over a
+flattened (tap, channel) axis: the tap slices of the input are gathered into
+one array and the kernel is laid out to match. Both paths share that routine,
+so full-sequence and streaming evaluation produce bitwise-identical numbers.
+Its backward pass keeps one contraction per tap. The input gradient uses
+``np.matmul``, which reduces over the output channels only. The weight
 gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
 GEMM changes that summation order with its thread count, so trained weights
 would no longer depend on the seed alone.
@@ -117,6 +119,7 @@ def stream_array(batch, channels, width):
     the channel axis that the conv einsum contracts; so each output element is
     summed in the same order as in ``forward`` (a channel-innermost layout
     changes the last bits, a C-order batch slice makes einsum ~4x slower).
+    The conv's streaming gather of tap slices is laid out the same way.
     """
     return np.zeros((channels, width, batch)).transpose(2, 0, 1)
 
@@ -174,7 +177,8 @@ class CausalConv1d(Layer):
         self._register("b", np.zeros(out_channels))
         self._cache = None
         self._buf = None
-        self._w = None
+        self._gather = None
+        self._w_flat = None
 
     @property
     def receptive_field(self):
@@ -184,6 +188,11 @@ class CausalConv1d(Layer):
         if self.weight_norm:
             return weight_norm_forward(self.params["v"], self.params["g"])
         return self.params["W"]
+
+    def _flat_weight(self, w):
+        """The (out, in, tap) kernel as (out, tap * in), tap-major, matching
+        the gathered input's flattened (tap, channel) axis."""
+        return w.transpose(0, 2, 1).reshape(self.out_channels, -1)
 
     def _check_input(self, x):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -203,16 +212,26 @@ class CausalConv1d(Layer):
             xpad = x
         w = self.effective_weight()
         self._cache = (xpad, w, t_len)
-        return self._taps(w, xpad, t_len)
+        gather = None
+        if self.kernel_size > 1:
+            gather = np.empty((b_sz, self.kernel_size, self.in_channels, t_len))
+        return self._taps(self._flat_weight(w), xpad, t_len, gather)
 
-    def _taps(self, w, xpad, t_len):
-        """Bias plus one einsum per tap over the last ``t_len`` columns of
-        ``xpad``: the tap loop of ``forward`` and of ``step`` alike."""
-        pad = xpad.shape[2] - t_len
-        out = np.zeros((xpad.shape[0], self.out_channels, t_len))
-        for i in range(self.kernel_size):
-            start = pad - i * self.dilation
-            out += np.einsum("oc,bct->bot", w[:, :, i], xpad[:, :, start:start + t_len])
+    def _taps(self, w_flat, xpad, t_len, gather):
+        """Bias plus one einsum over the last ``t_len`` columns of ``xpad``:
+        the contraction of ``forward`` and of ``step`` alike.
+
+        Tap i's slice of ``xpad`` is copied into ``gather[:, i]``, a
+        (batch, tap, channel, time) array whose (tap, channel) axes flatten
+        without a copy; a one-tap conv contracts ``xpad`` itself.
+        """
+        if self.kernel_size > 1:
+            pad = xpad.shape[2] - t_len
+            for i in range(self.kernel_size):
+                start = pad - i * self.dilation
+                gather[:, i] = xpad[:, :, start:start + t_len]
+            xpad = gather.reshape(xpad.shape[0], -1, t_len)
+        out = np.einsum("om,bmt->bot", w_flat, xpad)
         out += self.params["b"][None, :, None]
         return out
 
@@ -244,19 +263,26 @@ class CausalConv1d(Layer):
     def begin_stream(self, batch_size):
         # zero history doubles as this layer's left zero-padding. One column
         # more than the receptive field gives every tap a 2-column slice, so
-        # streaming hits the same einsum kernel as full-sequence evaluation
-        # (bitwise-identical results).
+        # streaming runs forward's one einsum (bitwise-identical results).
+        # The gather, reused by every step, is laid out like the buffer (see
+        # stream_array): a channel-innermost one changes the last bits, and a
+        # C-order one makes a batch-8 step 2.5-6x slower.
         self._buf = stream_array(batch_size, self.in_channels,
                                  self.receptive_field + 1)
-        self._w = self.effective_weight()
+        self._gather = None
+        if self.kernel_size > 1:
+            self._gather = np.empty(
+                (self.kernel_size, self.in_channels, 2, batch_size)
+            ).transpose(3, 0, 1, 2)
+        self._w_flat = self._flat_weight(self.effective_weight())
 
     def step(self, col):
-        """One new output column: ``forward``'s tap loop over the ring buffer
-        with two output columns, of which the last is kept."""
+        """One new output column: ``forward``'s contraction over the ring
+        buffer with two output columns, of which the last is kept."""
         buf = self._buf
         buf[:, :, :-1] = buf[:, :, 1:]
         buf[:, :, -1:] = col
-        return self._taps(self._w, buf, 2)[:, :, -1:]
+        return self._taps(self._w_flat, buf, 2, self._gather)[:, :, -1:]
 
 
 def _sigmoid(x):
@@ -294,6 +320,9 @@ class Activation(Layer):
         # relu backward needs the input sign; the others only the output
         self._out = (x > 0.0) if self.kind == "relu" else out
         return out
+
+    # streaming is evaluation only, so it keeps nothing for a backward pass
+    step = apply
 
     def backward(self, grad):
         if self.kind == "relu":

@@ -463,6 +463,17 @@ class TestGridsearch:
         assert "lr must be finite" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_normalize_is_not_a_grid_flag(self, tmp_path, capsys, monkeypatch):
+        # the grid trains on the data as given, so it takes no --normalize
+        monkeypatch.setattr(cli, "run_grid", refuse_training)
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*self._sweep_args(tmp_path), "--val",
+                    tmp_path / "train.csv", "--normalize", "--out", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --normalize" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_journal_exit_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         val = tmp_path / "val.csv"

@@ -3,10 +3,11 @@ import pytest
 
 from sysident import Rng
 from sysident.errors import DataError, DimensionError, ParameterError
-from sysident.gradcheck import check_model_gradients, numerical_gradient, relative_error
 from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dropout,
                              ResidualBlock, _sigmoid, weight_norm_backward,
                              weight_norm_forward)
+
+from gradcheck import check_model_gradients, numerical_gradient, relative_error
 
 GRAD_TOL = 1e-6
 
@@ -125,6 +126,48 @@ class TestCausalConv:
             CausalConv1d(1, 1, 0, 1, Rng(0))
         with pytest.raises(ParameterError):
             CausalConv1d(1, 1, 2, 0, Rng(0))
+
+    @staticmethod
+    def _stream(conv, x):
+        conv.begin_stream(x.shape[0])
+        return np.concatenate([conv.step(x[:, :, t:t + 1])
+                               for t in range(x.shape[2])], axis=2)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("weight_norm", [False, True])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("kernel", [1, 2, 4, 16])
+    def test_stream_equals_forward_bytes(self, kernel, dilation, weight_norm,
+                                         batch):
+        rng = Rng(9)
+        conv = CausalConv1d(5, 3, kernel, dilation, rng, weight_norm=weight_norm)
+        conv.params["b"][...] = rng.gaussian(3)
+        x = rng.gaussian((batch, 5, 30))
+        full = conv.forward(x)
+        streamed = self._stream(conv, x)
+        assert streamed.tobytes() == full.tobytes()
+        for row in range(batch):
+            alone = self._stream(conv, x[row:row + 1])
+            assert alone.tobytes() == streamed[row:row + 1].tobytes()
+
+    @pytest.mark.parametrize("kernel", [1, 4])
+    def test_one_einsum_per_conv_call(self, monkeypatch, kernel):
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        conv = CausalConv1d(3, 2, kernel, 2, Rng(10))
+        x = Rng(11).gaussian((2, 3, 6))
+        conv.forward(x)
+        assert len(calls) == 1
+        conv.begin_stream(2)
+        for t in range(6):
+            conv.step(x[:, :, t:t + 1])
+        assert len(calls) == 7
 
     def test_shape_errors(self):
         conv = CausalConv1d(2, 1, 2, 1, Rng(0))

@@ -11,10 +11,11 @@ from sysident import (Dataset, ModelConfig, Rng, build_model, count_parameters,
 from sysident.data import SequenceRecord
 from sysident.errors import (ConfigError, DataError, DimensionError,
                              ParameterError, UnsupportedError)
-from sysident.gradcheck import check_model_gradients
 from sysident import models
 from sysident.layers import CausalConv1d, Dropout, _sigmoid
 from sysident.models import lstm_cell_step, predict_records
+
+from gradcheck import check_model_gradients
 
 GRAD_TOL = 1e-6
 

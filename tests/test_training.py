@@ -12,8 +12,9 @@ from sysident import (Adam, ModelConfig, NoiseSpec, RMSprop, Rng, SGDMomentum,
 from sysident.data import Dataset, SequenceRecord
 from sysident.errors import (ConfigError, DimensionError, NumericError,
                              TrainingDiverged)
-from sysident.gradcheck import numerical_gradient, relative_error
 from sysident.models import predict_records
+
+from gradcheck import numerical_gradient, relative_error
 
 
 class TestMseLoss:
