@@ -9,7 +9,8 @@ evaluation, grid-search sweeps and Volterra kernel extraction.
 __version__ = "0.1.0"
 
 from .analysis import (EvalReport, VolterraKernels, error_spectrum, evaluate,
-                       extract_volterra_kernels, fd_volterra_oracle, rmse)
+                       extract_volterra_kernels, fd_volterra_oracle, rmse,
+                       volterra_deviation)
 from .data import (Dataset, NoiseSpec, NormConstants, SequenceRecord,
                    compute_norm_constants, denormalize_output,
                    generate_held_gaussian_input, load_csv_dataset,

@@ -53,15 +53,8 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     With ``normalization`` the records are transformed into model units for
     prediction and the predictions mapped back, so the report stays in the
     data's original units. ``warmup`` samples are dropped from the start of
-    each record before scoring; the report keeps the whole-record predictions.
-    Predictions come from ``predict_records``, which groups the records by
-    length: free-run simulates each group as one batch, and an LSTM predicts
-    each group one step ahead in one forward; its rows may differ from
-    one-record predictions in the last bits, because BLAS sums a one-row gate
-    product and a many-row one in a different order. TCN and MLP one-step
-    predictions stay one forward per record, bit for bit equal to
-    ``predict_one_step``: their forward already covers the whole record, and
-    stacking records raised peak memory for at most a small gain in speed.
+    each record before scoring; the report keeps the whole-record predictions,
+    which come from ``predict_records`` (see there how records are batched).
     """
     if warmup < 0:
         raise ParameterError(f"warmup must be >= 0, got {warmup}")
@@ -191,6 +184,16 @@ def fd_volterra_oracle(model, degree=2, amplitude=1e-3):
                 h2[t, s] = mixed
                 h2[s, t] = mixed
     return VolterraKernels(h0=h0, h1=h1, h2=h2, memory=memory, degree=degree)
+
+
+def volterra_deviation(kernels, oracle):
+    """Worst deviation of ``kernels`` from ``oracle`` in units of each
+    order's tolerance, 1e-4 * max(|oracle|, 1); below 1 they agree."""
+    devs = [np.max(np.abs(got - ref), initial=0.0)
+            / (1e-4 * max(np.max(np.abs(ref), initial=0.0), 1.0))
+            for got, ref in ((kernels.h0, oracle.h0), (kernels.h1, oracle.h1),
+                             (kernels.h2, oracle.h2))]
+    return float(np.max(devs))   # NaN if any order is NaN
 
 
 def error_spectrum(err, sample_rate=1.0, band=None):

@@ -71,6 +71,11 @@ class Dataset:
     def num_samples(self):
         return sum(r.length for r in self.records)
 
+    @property
+    def channels(self):
+        """(nu, ny), the input and output channel counts of the first record."""
+        return self.records[0].u.shape[0], self.records[0].y.shape[0]
+
 
 @dataclass
 class NoiseSpec:
@@ -168,10 +173,17 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
         if y_cols is None:
             y_cols = [h for h in header if h.startswith("y") and
                       not h.startswith("ystar")]
-        for col in list(u_cols) + list(y_cols):
+        selected = list(u_cols) + list(y_cols)
+        for col in selected:
             if col not in header:
                 raise SchemaError(f"column '{col}' not present in {path} "
                                   f"(header: {header})")
+            if header.count(col) > 1:
+                raise SchemaError(f"column '{col}' appears more than once in "
+                                  f"the header of {path}")
+            if selected.count(col) > 1:
+                raise SchemaError(f"column '{col}' is selected more than once "
+                                  f"for {path}")
         if not u_cols or not y_cols:
             raise SchemaError(f"no input/output columns declared for {path}")
         u_idx = [header.index(c) for c in u_cols]
@@ -269,8 +281,7 @@ def save_csv_dataset(dataset, path):
     """One file per dataset: concatenated records plus a segment sidecar."""
     path = os.fspath(path)
     records = dataset.records
-    nu = records[0].u.shape[0]
-    ny = records[0].y.shape[0]
+    nu, ny = dataset.channels
     has_clean = all(r.y_clean is not None for r in records)
     header = [f"u{i + 1}" for i in range(nu)] + [f"y{i + 1}" for i in range(ny)]
     if has_clean:

@@ -201,12 +201,19 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
     added. With ``journal_path`` completed rows survive interruption and are
     not re-run; a journal row is reused only when its index, repetition,
     configuration and seed all match the task. ``jobs`` and ``repetitions``
-    below 1 raise ConfigError before anything runs.
+    below 1, and a configuration whose ``nu`` or ``ny`` differs from the
+    training data's channel counts, raise ConfigError before anything runs.
     """
     for name, value in (("jobs", jobs), ("repetitions", repetitions)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     configs = grid_expand(space, base)
+    nu, ny = train_set.channels
+    for cfg in configs:
+        if (cfg.nu, cfg.ny) != (nu, ny):
+            raise ConfigError(f"grid configuration {cfg.to_dict()} has "
+                              f"{cfg.nu} inputs / {cfg.ny} outputs but the "
+                              f"training data has {nu} / {ny}")
     done = _journal_load(journal_path) if journal_path else {}
     reused, tasks = [], []
     for rep in range(repetitions):

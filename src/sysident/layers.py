@@ -5,11 +5,11 @@ whatever its backward pass needs during forward; ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
-The causal convolution's forward pass and streaming ``step`` each run one
+The causal convolution's forward pass and streaming ``step`` share one
 ``np.einsum`` contraction, with its default (non-optimized) kernels, over a
-flattened (tap, channel) axis: the tap slices of the input are gathered into
-one array and the kernel is laid out to match. Both paths share that routine,
-so full-sequence and streaming evaluation produce bitwise-identical numbers.
+flattened (tap, channel) axis of gathered tap slices and at least two output
+columns (one column sums in another order), so full-sequence and streaming
+evaluation produce bitwise-identical numbers.
 Its backward pass keeps one contraction per tap. The input gradient uses
 ``np.matmul``, which reduces over the output channels only. The weight
 gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
@@ -119,7 +119,8 @@ def stream_array(batch, channels, width):
     the channel axis that the conv einsum contracts; so each output element is
     summed in the same order as in ``forward`` (a channel-innermost layout
     changes the last bits, a C-order batch slice makes einsum ~4x slower).
-    The conv's streaming gather of tap slices is laid out the same way.
+    The conv's streaming tap gather is one too: a C-order one made a batch-8
+    step 2.5-6x slower.
     """
     return np.zeros((channels, width, batch)).transpose(2, 0, 1)
 
@@ -203,6 +204,13 @@ class CausalConv1d(Layer):
     def forward(self, x, training=False):
         self._check_input(x)
         b_sz, _, t_len = x.shape
+        if t_len == 1:
+            # one column is contracted as the first of two, with an inert zero
+            # right column (the conv is causal), so it sums as in ``step``
+            out = self.forward(np.concatenate([x, np.zeros_like(x)], axis=2))
+            xpad, w, _ = self._cache
+            self._cache = (xpad[:, :, :-1], w, 1)
+            return out[:, :, :1]
         pad = (self.kernel_size - 1) * self.dilation
         if pad:
             xpad = np.concatenate(
@@ -214,23 +222,24 @@ class CausalConv1d(Layer):
         self._cache = (xpad, w, t_len)
         gather = None
         if self.kernel_size > 1:
-            gather = np.empty((b_sz, self.kernel_size, self.in_channels, t_len))
+            gather = np.empty((b_sz, self.kernel_size * self.in_channels, t_len))
         return self._taps(self._flat_weight(w), xpad, t_len, gather)
 
     def _taps(self, w_flat, xpad, t_len, gather):
         """Bias plus one einsum over the last ``t_len`` columns of ``xpad``:
         the contraction of ``forward`` and of ``step`` alike.
 
-        Tap i's slice of ``xpad`` is copied into ``gather[:, i]``, a
-        (batch, tap, channel, time) array whose (tap, channel) axes flatten
-        without a copy; a one-tap conv contracts ``xpad`` itself.
+        Tap i's slice of ``xpad`` is copied into rows i*C to (i+1)*C of
+        ``gather``, a (batch, tap * channel, time) array; a one-tap conv
+        contracts ``xpad`` itself.
         """
         if self.kernel_size > 1:
             pad = xpad.shape[2] - t_len
+            c = self.in_channels
             for i in range(self.kernel_size):
                 start = pad - i * self.dilation
-                gather[:, i] = xpad[:, :, start:start + t_len]
-            xpad = gather.reshape(xpad.shape[0], -1, t_len)
+                gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + t_len]
+            xpad = gather
         out = np.einsum("om,bmt->bot", w_flat, xpad)
         out += self.params["b"][None, :, None]
         return out
@@ -264,16 +273,13 @@ class CausalConv1d(Layer):
         # zero history doubles as this layer's left zero-padding. One column
         # more than the receptive field gives every tap a 2-column slice, so
         # streaming runs forward's one einsum (bitwise-identical results).
-        # The gather, reused by every step, is laid out like the buffer (see
-        # stream_array): a channel-innermost one changes the last bits, and a
-        # C-order one makes a batch-8 step 2.5-6x slower.
+        # The gather is reused by every step.
         self._buf = stream_array(batch_size, self.in_channels,
                                  self.receptive_field + 1)
         self._gather = None
         if self.kernel_size > 1:
-            self._gather = np.empty(
-                (self.kernel_size, self.in_channels, 2, batch_size)
-            ).transpose(3, 0, 1, 2)
+            self._gather = stream_array(
+                batch_size, self.kernel_size * self.in_channels, 2)
         self._w_flat = self._flat_weight(self.effective_weight())
 
     def step(self, col):

@@ -10,6 +10,7 @@ history at the start), so its output aligns index-for-index with y.
 ``simulate_free_run`` replaces the measured outputs in the feedback channels
 with the model's own past predictions, evaluating one time step at a time for
 a whole batch of records; each layer keeps only the state that step needs.
+``layers.CausalConv1d`` alone applies the einsum's one-column layout rule.
 
 All three families are one ``SequenceNet``: a chain of stages (TCN residual
 blocks, MLP dense layers or stacked ``LstmLayer``s) and a 1x1 output map.
@@ -332,11 +333,6 @@ def _one_step(model, records):
     """One evaluation forward over equally long records: (B, ny, T)."""
     xs = np.stack([shift_right(stack_model_input(r, model.config.narx))
                    for r in records])
-    if xs.shape[2] == 1:
-        # right-pad to two columns (causality makes the pad inert) so the
-        # contraction kernels match the streaming ones
-        xs = np.concatenate([xs, np.zeros_like(xs)], axis=2)
-        return model.forward(xs, training=False)[:, :, :1]
     return model.forward(xs, training=False)
 
 
@@ -382,17 +378,15 @@ def predict_records(model, records, mode):
     return preds
 
 
-def simulate_free_run(model, u, y_init=None):
+def simulate_free_run(model, u):
     """Free-run simulation: past measured outputs replaced by past predictions.
 
     ``u`` is one record, (nu, T) or 1-D, or a batch of equally long records,
     (B, nu, T); the output, (ny, T) or (B, ny, T), has the same rank. One
-    streaming time step advances every record of the batch. ``y_init``,
-    (ny, T0) or (B, ny, T0), optionally supplies measured outputs for the
-    first columns of the feedback channels (zero-padded when absent or
-    shorter than the receptive field). Ignored in FIR mode. A batched row
-    equals the one-record run bit for bit, except for the LSTM: BLAS may sum
-    a one-row gate product in another order than a many-row one.
+    streaming time step advances every record of the batch, from zero
+    history. A batched row equals the one-record run bit for bit, except for
+    the LSTM: BLAS may sum a one-row gate product in another order than a
+    many-row one.
     """
     c = model.config
     u = np.asarray(u, dtype=np.float64)
@@ -405,15 +399,6 @@ def simulate_free_run(model, u, y_init=None):
         raise DimensionError(f"u must have shape ({c.nu}, time) or "
                              f"(batch, {c.nu}, time), got {u.shape}")
     b_sz, _, t_len = u.shape
-    init_len = 0
-    if y_init is not None:
-        y_init = np.asarray(y_init, dtype=np.float64)
-        if y_init.ndim == 2:
-            y_init = y_init[None]
-        if y_init.ndim != 3 or y_init.shape[:2] != (b_sz, c.ny):
-            raise DimensionError(f"y_init must have shape ({c.ny}, time) or "
-                                 f"({b_sz}, {c.ny}, time), got {y_init.shape}")
-        init_len = y_init.shape[2]
     yhat = np.zeros((b_sz, c.ny, t_len))
     model.begin_stream(b_sz)
     col = stream_array(b_sz, c.in_channels, 1)
@@ -422,19 +407,16 @@ def simulate_free_run(model, u, y_init=None):
         if k > 0:
             col[:, :c.nu, 0] = u[:, :, k - 1]
             if c.narx:
-                if k - 1 < init_len:
-                    col[:, c.nu:, 0] = y_init[:, :, k - 1]
-                else:
-                    col[:, c.nu:, 0] = yhat[:, :, k - 1]
+                col[:, c.nu:, 0] = yhat[:, :, k - 1]
         yhat[:, :, k] = model.step(col)[:, :, 0]
     return yhat if batched else yhat[0]
 
 
-def free_run_naive(model, u, y_init=None):
+def free_run_naive(model, u):
     """Sliding-window re-evaluation oracle for ``simulate_free_run``.
 
-    Rebuilds the full input history at every step and runs a whole forward
-    pass over it; O(T^2) and only meant for cross-checking.
+    Runs a whole forward pass over the input history at every step; O(T^2)
+    and only meant for cross-checking.
     """
     c = model.config
     u = np.asarray(u, dtype=np.float64)
@@ -442,18 +424,14 @@ def free_run_naive(model, u, y_init=None):
         u = u[None, :]
     t_len = u.shape[1]
     yhat = np.zeros((c.ny, t_len))
-    init_len = 0 if y_init is None else y_init.shape[1]
+    # column j + 1 holds x[j], column 0 the zero history
+    x = np.zeros((1, c.in_channels, t_len))
     for k in range(t_len):
-        # columns 1..k hold x[0..k-1], column 0 the zero history; trailing
-        # zero columns (ignored thanks to causality) keep the width >= 2 so
-        # the contraction kernels match the streaming ones
-        x = np.zeros((1, c.in_channels, max(k + 1, 2)))
-        for j in range(k):
-            x[0, :c.nu, j + 1] = u[:, j]
+        if k > 0:
+            x[0, :c.nu, k] = u[:, k - 1]
             if c.narx:
-                x[0, c.nu:, j + 1] = y_init[:, j] if j < init_len else yhat[:, j]
-        out = model.forward(x, training=False)
-        yhat[:, k] = out[0, :, k]
+                x[0, c.nu:, k] = yhat[:, k - 1]
+        yhat[:, k] = model.forward(x[:, :, :k + 1], training=False)[0, :, k]
     return yhat
 
 

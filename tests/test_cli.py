@@ -122,6 +122,17 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    def test_column_selected_twice_exit_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(cli, "train", refuse_training)
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 40, seed=6)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--u-cols", "u1",
+                       "--y-cols", "u1", "--seed", 6, "--out", out) == 2
+        assert "'u1' is selected more than once" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lr_exit_2(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setattr(cli, "train", refuse_training)
@@ -439,6 +450,20 @@ class TestGridsearch:
                        "--out", out) == 2
         assert ("the training data has 1 inputs / 1 outputs but the "
                 "validation data has 2 / 1") in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("grid", [
+        {"axes": {"nu": [2]}},
+        {"axes": {"hidden": [2]}, "base": {"ny": 2}},
+    ], ids=["nu_axis", "ny_base"])
+    def test_channel_counts_other_than_the_data_exit_2(self, tmp_path, capsys,
+                                                       grid):
+        args = self._sweep_args(tmp_path)
+        args[2].write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert run_cli(*args, "--val", tmp_path / "train.csv",
+                       "--out", out) == 2
+        assert "training data has 1 / 1" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("flag,value", [

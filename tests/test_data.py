@@ -155,6 +155,23 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="u2"):
             load_csv_dataset(path, u_cols=["u1", "u2"], y_cols=["y1"])
 
+    @pytest.mark.parametrize("header,cols,message", [
+        ("u1,y1,u1", {}, "'u1' appears more than once in the header"),
+        ("u1,y1,u1", dict(u_cols=["u1"], y_cols=["y1"]),
+         "'u1' appears more than once in the header"),
+        ("u1,u2,y1", dict(u_cols=["u1", "u1"], y_cols=["y1"]),
+         "'u1' is selected more than once"),
+        ("u1,y1", dict(u_cols=["u1"], y_cols=["u1"]),
+         "'u1' is selected more than once"),
+    ], ids=["header_default", "header_named", "twice_in_u", "in_u_and_y"])
+    def test_duplicate_column_schema_error(self, tmp_path, header, cols,
+                                           message):
+        path = tmp_path / "dup.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1.0"] * width) + "\n")
+        with pytest.raises(SchemaError, match=message):
+            load_csv_dataset(path, **cols)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv_dataset(tmp_path / "nope.csv")

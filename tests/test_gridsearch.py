@@ -228,6 +228,23 @@ class TestRunGrid:
                      tiny_train_config(), journal_path=journal, **kw)
         assert not journal.exists()
 
+    @pytest.mark.parametrize("axes,base", [
+        ({"nu": [1, 2]}, {}),
+        ({"hidden": [3]}, {"ny": 2}),
+    ], ids=["nu_axis", "ny_base"])
+    def test_channel_counts_other_than_the_data_rejected(
+            self, tmp_path, monkeypatch, axes, base):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(gridsearch, "train", refuse)
+        train, valid = tiny_datasets()
+        journal = tmp_path / "journal.csv"
+        with pytest.raises(ConfigError, match="training data has 1 / 1"):
+            run_grid(GridSpace(axes=axes), train, valid, tiny_train_config(),
+                     base=ModelConfig(**base), journal_path=journal)
+        assert not journal.exists()
+
 
 class TestSelectBest:
     def _row(self, index, rmse, hidden=4, depth=1):

@@ -84,7 +84,7 @@ class TestCausalConv:
 
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("kernel,dilation", [(1, 1), (1, 3), (3, 1), (3, 3)])
-    @pytest.mark.parametrize("t_len", [2, 9])
+    @pytest.mark.parametrize("t_len", [1, 2, 9])
     def test_backward_is_exact_adjoint(self, batch, kernel, dilation, t_len):
         # out - b is bilinear in (W, x), so <g, out - b> = <x, dx> = <W, dW>
         # up to rounding, judged against the sum of |g| |W| |x| and |g| |b|
@@ -108,6 +108,19 @@ class TestCausalConv:
         conv.backward(g)
         for name in ("W", "b"):
             assert np.array_equal(conv.grads[name], 2.0 * once[name])
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_one_column_is_first_of_two(self, kernel):
+        # an einsum over one output column may sum in another order than over
+        # two; the conv contracts two either way, so streaming (which always
+        # contracts two) and one-sample records see the same bits
+        rng = Rng(12)
+        for batch in (1, 4):
+            conv = CausalConv1d(24, 5, kernel, 2, rng)
+            conv.params["b"][...] = rng.gaussian(5)
+            x = rng.gaussian((batch, 24, 1))
+            two = conv.forward(np.concatenate([x, np.zeros_like(x)], axis=2))
+            assert conv.forward(x).tobytes() == two[:, :, :1].tobytes()
 
     def test_output_length_equals_input_length(self):
         conv = CausalConv1d(1, 4, 5, 3, Rng(0))

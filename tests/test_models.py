@@ -207,10 +207,11 @@ class TestFreeRun:
         cfg = ModelConfig(family="tcn", narx=False, hidden=5, depth=2,
                           kernel_size=3, activation="tanh")
         model = build_model(cfg, Rng(7))
-        u = Rng(8).gaussian(25)
-        rec = SequenceRecord(u=u, y=np.zeros(25))
-        assert np.array_equal(simulate_free_run(model, u),
-                              predict_one_step(model, rec))
+        for length in (25, 1):
+            u = Rng(8).gaussian(length)
+            rec = SequenceRecord(u=u, y=np.zeros(length))
+            assert np.array_equal(simulate_free_run(model, u),
+                                  predict_one_step(model, rec))
 
     @pytest.mark.parametrize("family,kw", [
         ("tcn", dict(hidden=5, depth=2, kernel_size=3, dilations=True,
@@ -253,48 +254,14 @@ class TestFreeRun:
         else:
             assert batch.tobytes() == rows.tobytes()
 
-    def test_batched_y_init_equals_each_row_warm_start(self):
-        cfg = ModelConfig(family="tcn", hidden=4, depth=2, kernel_size=2,
-                          dilations=True, activation="tanh")
-        model = build_model(cfg, Rng(32))
-        u = Rng(33).gaussian((3, 1, 15))
-        y_init = Rng(34).gaussian((3, 1, 4))
-        batch = simulate_free_run(model, u, y_init=y_init)
-        rows = np.stack([simulate_free_run(model, u[b], y_init=y_init[b])
-                         for b in range(3)])
-        assert batch.tobytes() == rows.tobytes()
-
-    @pytest.mark.parametrize("u_shape,y_shape", [
-        ((3, 2, 15), None),             # u channel count
-        ((15,), (3, 1, 4)),             # y_init batch, one record
-        ((3, 1, 15), (2, 1, 4)),        # y_init batch
-        ((3, 1, 15), (3, 2, 4)),        # y_init channel count
-        ((3, 1, 15), (1, 4)),           # one y_init for a batch of three
-        ((1, 3, 1, 15), None),          # u of rank 4
+    @pytest.mark.parametrize("u_shape", [
+        (3, 2, 15),                     # u channel count
+        (1, 3, 1, 15),                  # u of rank 4
     ])
-    def test_batch_shapes_checked(self, u_shape, y_shape):
+    def test_batch_shapes_checked(self, u_shape):
         model = build_model(ModelConfig(family="tcn", hidden=4), Rng(35))
-        y_init = None if y_shape is None else np.zeros(y_shape)
         with pytest.raises(DimensionError):
-            simulate_free_run(model, np.zeros(u_shape), y_init=y_init)
-
-    def test_y_init_channel_count_checked(self):
-        cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2)
-        model = build_model(cfg, Rng(12))
-        with pytest.raises(DimensionError, match="y_init"):
-            simulate_free_run(model, Rng(13).gaussian(15),
-                              y_init=Rng(14).gaussian((2, 15)))
-
-    def test_measured_warm_start_history(self):
-        cfg = ModelConfig(family="tcn", hidden=4, depth=1, kernel_size=2,
-                          activation="tanh")
-        model = build_model(cfg, Rng(12))
-        u = Rng(13).gaussian(15)
-        y_init = Rng(14).gaussian((1, 15))
-        warm = simulate_free_run(model, u, y_init=y_init)
-        cold = simulate_free_run(model, u)
-        assert not np.array_equal(warm, cold)
-        assert np.array_equal(warm, free_run_naive(model, u, y_init=y_init))
+            simulate_free_run(model, np.zeros(u_shape))
 
 
 class TestLstmCell:

@@ -5,21 +5,21 @@
 prints one ``<case> <sha256>`` line per case. Each model case trains a small
 seeded model on the Chen toy system and digests, one line each, the trained
 parameters and state with the history (losses, learning rates, best epoch;
-not the wall-clock seconds), one-step predictions, batched free-run,
-warm-started batched free-run and the checkpoint file bytes. The
-``tcn_bench_epoch`` case digests the same trained items after one epoch of
-the benchmark's TCN training (h32, d4, k4, dilated, batch norm, dropout 0.3,
-20x100 Chen records in batches of 8, so the last batch has 4 rows), whose
-matrix sizes the small cases do not reach. The ``perfbench.*`` cases digest
-batched and warm-started free-run of the committed benchmark models, and their
-``evaluate`` one-step predictions on a 10-record set (one 10-row forward for
-the LSTM). The ``cli.*`` cases run seeded ``sysident`` commands (generate,
-train --normalize, eval of both modes with a band and a warm-up, volterra
---verify of a FIR MLP, gridsearch over two repetitions) in a temporary
-directory, with relative paths, and digest every file each command writes. Only what varies between identical runs is masked:
-the manifest ``timestamp``, the ``seconds`` column of ``history.csv``, the
-``wall_clock`` column of ``results.csv`` and ``journal.csv``, and the order of
-the journal's lines. The script imports sysident from the ``src/`` next to
+not the wall-clock seconds), one-step predictions, batched free-run and the
+checkpoint file bytes. The ``tcn_bench_epoch`` case digests the same trained
+items after one epoch of the benchmark's TCN training (h32, d4, k4, dilated,
+batch norm, dropout 0.3, 20x100 Chen records in batches of 8, so the last
+batch has 4 rows), whose matrix sizes the small cases do not reach. The
+``perfbench.*`` cases digest batched free-run of the committed benchmark
+models, and their ``evaluate`` one-step predictions on a 10-record set (one
+10-row forward for the LSTM). The ``cli.*`` cases run seeded ``sysident``
+commands (generate, train --normalize, eval of both modes with a band and a
+warm-up, volterra --verify of a FIR MLP, gridsearch over two repetitions) in
+a temporary directory, with relative paths, and digest every file each
+command writes. Only what varies between identical runs is masked: the
+manifest ``timestamp``, the ``seconds`` column of ``history.csv``, the
+``wall_clock`` column of ``results.csv`` and ``journal.csv``, and the order
+of the journal's lines. The script imports sysident from the ``src/`` next to
 it, so running it in two checkouts and diffing the output compares their
 code.
 """
@@ -56,7 +56,6 @@ MODEL_CASES = {
 BENCH_TCN = dict(family="tcn", hidden=32, depth=4, kernel_size=4,
                  dilations=True, norm="batch", dropout=0.3)
 BENCH_MODELS = ("tcn", "mlp", "lstm")
-WARM = 6    # measured output samples that warm-started free-run is given
 
 
 def digest(*arrays):
@@ -68,11 +67,8 @@ def digest(*arrays):
     return h.hexdigest()
 
 
-def free_run_digests(model, records):
-    u = np.stack([r.u for r in records])
-    y = np.stack([r.y for r in records])
-    return {"free_run_batched": digest(simulate_free_run(model, u)),
-            "free_run_warm": digest(simulate_free_run(model, u, y[:, :, :WARM]))}
+def free_run_digest(model, records):
+    return digest(simulate_free_run(model, np.stack([r.u for r in records])))
 
 
 def trained_digest(model, history):
@@ -91,7 +87,7 @@ def model_case(kw, train_set, valid_set, tmp):
     model, history = train(model, train_set, valid_set, tc)
     out = {"trained": trained_digest(model, history)}
     out["one_step"] = digest(*[predict_one_step(model, r) for r in valid_set.records])
-    out.update(free_run_digests(model, valid_set.records))
+    out["free_run_batched"] = free_run_digest(model, valid_set.records)
     path = os.path.join(tmp, "ckpt.json")
     save_checkpoint(model, path)
     with open(path, "rb") as fh:
@@ -181,8 +177,8 @@ def main():
     for name in BENCH_MODELS:
         model, _ = load_checkpoint(os.path.join(ROOT, "perfbench", "models",
                                                 f"{name}.json"))
-        for item, hexdigest in free_run_digests(model, bench_set.records).items():
-            print(f"perfbench.{name}.{item} {hexdigest}")
+        print(f"perfbench.{name}.free_run_batched "
+              f"{free_run_digest(model, bench_set.records)}")
         report = evaluate(model, one_step_set, mode="one-step")
         print(f"perfbench.{name}.one_step {digest(*report.predictions)}")
     for item, value in cli_digests().items():
