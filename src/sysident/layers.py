@@ -5,11 +5,12 @@ whatever its backward pass needs during forward; ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
-The causal convolution's forward pass and streaming ``step`` share one
-``np.einsum`` contraction, with its default (non-optimized) kernels, over a
-flattened (tap, channel) axis of gathered tap slices and at least two output
-columns (one column sums in another order), so full-sequence and streaming
-evaluation produce bitwise-identical numbers.
+The causal convolution contracts a flattened (tap, channel) axis of gathered
+tap slices in one ``np.einsum`` call (default, non-optimized kernels) whose
+inner loop is a stride-1 output axis, so each output is summed over (tap,
+channel) in order: time in ``forward`` (one column is contracted as the first
+of two), output channels in the streaming ``step`` (one channel gets a zero
+second one). So full-sequence and streaming evaluation agree bit for bit.
 Its backward pass keeps one contraction per tap. The input gradient uses
 ``np.matmul``, which reduces over the output channels only. The weight
 gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
@@ -112,19 +113,6 @@ class Layer:
         return self.forward(col, training=False)
 
 
-def stream_array(batch, channels, width):
-    """Zeroed (batch, channels, width) streaming array, laid out time-then-batch.
-
-    The stride-1 axis is batch when batch > 1 and time when batch == 1, never
-    the channel axis that the conv einsum contracts; so each output element is
-    summed in the same order as in ``forward`` (a channel-innermost layout
-    changes the last bits, a C-order batch slice makes einsum ~4x slower).
-    The conv's streaming tap gather is one too: a C-order one made a batch-8
-    step 2.5-6x slower.
-    """
-    return np.zeros((channels, width, batch)).transpose(2, 0, 1)
-
-
 # layers applied in turn: the body of a residual block, a feed-forward model
 def chain_forward(layers, x, training=False):
     for layer in layers:
@@ -177,9 +165,7 @@ class CausalConv1d(Layer):
             self._register("W", w)
         self._register("b", np.zeros(out_channels))
         self._cache = None
-        self._buf = None
-        self._gather = None
-        self._w_flat = None
+        self._ring = None     # streaming state, set by begin_stream
 
     @property
     def receptive_field(self):
@@ -189,11 +175,6 @@ class CausalConv1d(Layer):
         if self.weight_norm:
             return weight_norm_forward(self.params["v"], self.params["g"])
         return self.params["W"]
-
-    def _flat_weight(self, w):
-        """The (out, in, tap) kernel as (out, tap * in), tap-major, matching
-        the gathered input's flattened (tap, channel) axis."""
-        return w.transpose(0, 2, 1).reshape(self.out_channels, -1)
 
     def _check_input(self, x):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -206,7 +187,7 @@ class CausalConv1d(Layer):
         b_sz, _, t_len = x.shape
         if t_len == 1:
             # one column is contracted as the first of two, with an inert zero
-            # right column (the conv is causal), so it sums as in ``step``
+            # right column (the conv is causal), so time stays the inner loop
             out = self.forward(np.concatenate([x, np.zeros_like(x)], axis=2))
             xpad, w, _ = self._cache
             self._cache = (xpad[:, :, :-1], w, 1)
@@ -220,26 +201,15 @@ class CausalConv1d(Layer):
             xpad = x
         w = self.effective_weight()
         self._cache = (xpad, w, t_len)
-        gather = None
         if self.kernel_size > 1:
+            # tap i's slice fills rows i*C to (i+1)*C of a (B, K*C, T) gather
             gather = np.empty((b_sz, self.kernel_size * self.in_channels, t_len))
-        return self._taps(self._flat_weight(w), xpad, t_len, gather)
-
-    def _taps(self, w_flat, xpad, t_len, gather):
-        """Bias plus one einsum over the last ``t_len`` columns of ``xpad``:
-        the contraction of ``forward`` and of ``step`` alike.
-
-        Tap i's slice of ``xpad`` is copied into rows i*C to (i+1)*C of
-        ``gather``, a (batch, tap * channel, time) array; a one-tap conv
-        contracts ``xpad`` itself.
-        """
-        if self.kernel_size > 1:
-            pad = xpad.shape[2] - t_len
             c = self.in_channels
             for i in range(self.kernel_size):
                 start = pad - i * self.dilation
                 gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + t_len]
             xpad = gather
+        w_flat = w.transpose(0, 2, 1).reshape(self.out_channels, -1)
         out = np.einsum("om,bmt->bot", w_flat, xpad)
         out += self.params["b"][None, :, None]
         return out
@@ -270,25 +240,42 @@ class CausalConv1d(Layer):
         return d_xpad[:, :, pad:] if pad else d_xpad
 
     def begin_stream(self, batch_size):
-        # zero history doubles as this layer's left zero-padding. One column
-        # more than the receptive field gives every tap a 2-column slice, so
-        # streaming runs forward's one einsum (bitwise-identical results).
-        # The gather is reused by every step.
-        self._buf = stream_array(batch_size, self.in_channels,
-                                 self.receptive_field + 1)
-        self._gather = None
-        if self.kernel_size > 1:
-            self._gather = stream_array(
-                batch_size, self.kernel_size * self.in_channels, 2)
-        self._w_flat = self._flat_weight(self.effective_weight())
+        """Zero history for ``batch_size`` records: a ring buffer of the last
+        RF input columns, (B, RF, C), and a (RF, K) table of the slots taps
+        0..K-1 read when the newest column is in slot p. The kernel is frozen
+        as a C-order (K*C, O) matrix, with a zero second column when O == 1 so
+        that the output channels stay the einsum's inner loop."""
+        rf = self.receptive_field
+        w_cols = np.zeros((self.kernel_size * self.in_channels,
+                           max(self.out_channels, 2)))
+        w_cols[:, :self.out_channels] = self.effective_weight().transpose(
+            2, 1, 0).reshape(-1, self.out_channels)
+        self._w_cols = w_cols
+        self._ring = np.zeros((batch_size, rf, self.in_channels))
+        self._pos = 0
+        taps = self.dilation * np.arange(self.kernel_size)
+        self._slots = (np.arange(rf)[:, None] - taps) % rf
+        self._gather = np.empty((batch_size, self.kernel_size, self.in_channels))
 
     def step(self, col):
-        """One new output column: ``forward``'s contraction over the ring
-        buffer with two output columns, of which the last is kept."""
-        buf = self._buf
-        buf[:, :, :-1] = buf[:, :, 1:]
-        buf[:, :, -1:] = col
-        return self._taps(self._w_flat, buf, 2, self._gather)[:, :, -1:]
+        """One (B, O, 1) output column per (B, C, 1) input column: one
+        ``take`` gathers the K taps from the ring, one einsum contracts them."""
+        ring = self._ring
+        if ring is None:
+            raise ParameterError("step called before begin_stream")
+        if col.shape != (ring.shape[0], self.in_channels, 1):
+            raise DimensionError(
+                f"conv step expects ({ring.shape[0]}, {self.in_channels}, 1), "
+                f"got {col.shape}")
+        self._pos = pos = (self._pos + 1) % ring.shape[1]
+        ring[:, pos] = col[:, :, 0]
+        gather = self._gather
+        # the slots are in range; "clip" lets take write into out unbuffered
+        ring.take(self._slots[pos], axis=1, out=gather, mode="clip")
+        out = np.einsum("mo,bm->bo", self._w_cols,
+                        gather.reshape(ring.shape[0], -1))[:, :self.out_channels]
+        out += self.params["b"]
+        return out[:, :, None]
 
 
 def _sigmoid(x):

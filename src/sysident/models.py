@@ -10,7 +10,9 @@ history at the start), so its output aligns index-for-index with y.
 ``simulate_free_run`` replaces the measured outputs in the feedback channels
 with the model's own past predictions, evaluating one time step at a time for
 a whole batch of records; each layer keeps only the state that step needs.
-``layers.CausalConv1d`` alone applies the einsum's one-column layout rule.
+``layers.CausalConv1d`` alone owns the einsum layout rules that keep its
+streaming step bitwise equal to ``forward``; the streamed columns are plain
+C-order arrays.
 
 All three families are one ``SequenceNet``: a chain of stages (TCN residual
 blocks, MLP dense layers or stacked ``LstmLayer``s) and a 1x1 output map.
@@ -28,7 +30,7 @@ from .errors import (ConfigError, DataError, DimensionError, ParameterError,
                      UnsupportedError)
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
                      Dropout, Layer, ResidualBlock, _init_weight, _sigmoid,
-                     chain_backward, chain_forward, chain_step, stream_array)
+                     chain_backward, chain_forward, chain_step)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
@@ -280,6 +282,12 @@ class LstmLayer(Layer):
                        np.zeros((batch_size, self.hidden)))
 
     def step(self, col):
+        if self._state is None:
+            raise ParameterError("step called before begin_stream")
+        if col.shape != (self._state[0].shape[0], self.in_size, 1):
+            raise DimensionError(
+                f"lstm step expects ({self._state[0].shape[0]}, {self.in_size}, 1), "
+                f"got {col.shape}")
         h, c, _ = lstm_cell_step(col[:, :, 0], *self._state, self.params["Wx"],
                                  self.params["Wh"], self.params["b"])
         self._state = (h, c)
@@ -401,7 +409,7 @@ def simulate_free_run(model, u):
     b_sz, _, t_len = u.shape
     yhat = np.zeros((b_sz, c.ny, t_len))
     model.begin_stream(b_sz)
-    col = stream_array(b_sz, c.in_channels, 1)
+    col = np.zeros((b_sz, c.in_channels, 1))
     for k in range(t_len):
         # feed x[k-1]; the model emits the prediction of y[k]
         if k > 0:

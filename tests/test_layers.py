@@ -112,8 +112,8 @@ class TestCausalConv:
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_one_column_is_first_of_two(self, kernel):
         # an einsum over one output column may sum in another order than over
-        # two; the conv contracts two either way, so streaming (which always
-        # contracts two) and one-sample records see the same bits
+        # two; the conv contracts two either way, so one-sample records see
+        # the bits of longer ones and of streaming
         rng = Rng(12)
         for batch in (1, 4):
             conv = CausalConv1d(24, 5, kernel, 2, rng)
@@ -153,15 +153,18 @@ class TestCausalConv:
     def test_stream_equals_forward_bytes(self, kernel, dilation, weight_norm,
                                          batch):
         rng = Rng(9)
-        conv = CausalConv1d(5, 3, kernel, dilation, rng, weight_norm=weight_norm)
-        conv.params["b"][...] = rng.gaussian(3)
-        x = rng.gaussian((batch, 5, 30))
-        full = conv.forward(x)
-        streamed = self._stream(conv, x)
-        assert streamed.tobytes() == full.tobytes()
-        for row in range(batch):
-            alone = self._stream(conv, x[row:row + 1])
-            assert alone.tobytes() == streamed[row:row + 1].tobytes()
+        for out_channels in (1, 2, 3):
+            conv = CausalConv1d(5, out_channels, kernel, dilation, rng,
+                                weight_norm=weight_norm)
+            conv.params["b"][...] = rng.gaussian(out_channels)
+            # long enough for the ring buffer's slot pointer to wrap twice
+            x = rng.gaussian((batch, 5, 2 * conv.receptive_field + 3))
+            full = conv.forward(x)
+            streamed = self._stream(conv, x)
+            assert streamed.tobytes() == full.tobytes()
+            for row in range(batch):
+                alone = self._stream(conv, x[row:row + 1])
+                assert alone.tobytes() == streamed[row:row + 1].tobytes()
 
     @pytest.mark.parametrize("kernel", [1, 4])
     def test_one_einsum_per_conv_call(self, monkeypatch, kernel):
@@ -181,6 +184,21 @@ class TestCausalConv:
         for t in range(6):
             conv.step(x[:, :, t:t + 1])
         assert len(calls) == 7
+
+    def test_step_needs_begin_stream(self):
+        conv = CausalConv1d(2, 3, 2, 1, Rng(0))
+        with pytest.raises(ParameterError, match="before begin_stream"):
+            conv.step(np.zeros((1, 2, 1)))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2)])
+    def test_step_rejects_a_misshaped_column(self, shape):
+        # the stream holds 3 records of 2 channels: a (1, 2, 1) or a
+        # 1-channel column used to broadcast into the history
+        conv = CausalConv1d(2, 3, 2, 1, Rng(0))
+        conv.begin_stream(3)
+        with pytest.raises(DimensionError):
+            conv.step(np.zeros(shape))
+        assert conv.step(np.ones((3, 2, 1))).shape == (3, 3, 1)
 
     def test_shape_errors(self):
         conv = CausalConv1d(2, 1, 2, 1, Rng(0))

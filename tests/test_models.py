@@ -376,6 +376,21 @@ class TestLstmCell:
         with pytest.raises(ParameterError, match="backward called before forward"):
             cell.backward(grad)
 
+    def test_step_needs_begin_stream(self):
+        cell = build_model(ModelConfig(family="lstm", hidden=4), Rng(36)).cells[0]
+        with pytest.raises(ParameterError, match="before begin_stream"):
+            cell.step(np.zeros((1, 2, 1)))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (3, 1, 1), (3, 2, 2), (3, 2)])
+    def test_step_rejects_a_misshaped_column(self, shape):
+        # the stream holds 3 records of 2 channels: a (1, 2, 1) column used to
+        # broadcast against the (3, H) state and return 3 rows
+        cell = build_model(ModelConfig(family="lstm", hidden=4), Rng(36)).cells[0]
+        cell.begin_stream(3)
+        with pytest.raises(DimensionError):
+            cell.step(np.zeros(shape))
+        assert cell.step(np.ones((3, 2, 1))).shape == (3, 4, 1)
+
     def test_state_bounds(self):
         cfg = ModelConfig(family="lstm", hidden=6, depth=1)
         model = build_model(cfg, Rng(18))

@@ -11,11 +11,13 @@ items after one epoch of the benchmark's TCN training (h32, d4, k4, dilated,
 batch norm, dropout 0.3, 20x100 Chen records in batches of 8, so the last
 batch has 4 rows), whose matrix sizes the small cases do not reach. The
 ``perfbench.*`` cases digest batched free-run of the committed benchmark
-models, and their ``evaluate`` one-step predictions on a 10-record set (one
-10-row forward for the LSTM). The ``cli.*`` cases run seeded ``sysident``
-commands (generate, train --normalize, eval of both modes with a band and a
-warm-up, volterra --verify of a FIR MLP, gridsearch over two repetitions) in
-a temporary directory, with relative paths, and digest every file each
+models, their one-record (B = 1) free-run of a 400-sample record (over
+four times the TCN's receptive field of 91, so every ring buffer wraps),
+and their ``evaluate`` one-step predictions on a 10-record set (one 10-row
+forward for the LSTM). The ``cli.*`` cases run seeded ``sysident`` commands
+(generate, train --normalize, eval of both modes with a band and a warm-up,
+volterra --verify of a FIR MLP, gridsearch over two repetitions) in a
+temporary directory, with relative paths, and digest every file each
 command writes. Only what varies between identical runs is masked: the
 manifest ``timestamp``, the ``seconds`` column of ``history.csv``, the
 ``wall_clock`` column of ``results.csv`` and ``journal.csv``, and the order
@@ -173,12 +175,15 @@ def main():
                            TrainConfig(max_epochs=1, batch_size=8, seed=14))
     print(f"tcn_bench_epoch.trained {trained_digest(model, history)}")
     bench_set = make_chen_dataset(3, 300, noise, seed=3, role="test")
+    long_record = make_chen_dataset(1, 400, noise, seed=7, role="test").records[0]
     one_step_set = make_chen_dataset(10, 100, bench_noise, seed=6, role="test")
     for name in BENCH_MODELS:
         model, _ = load_checkpoint(os.path.join(ROOT, "perfbench", "models",
                                                 f"{name}.json"))
         print(f"perfbench.{name}.free_run_batched "
               f"{free_run_digest(model, bench_set.records)}")
+        print(f"perfbench.{name}.free_run_single "
+              f"{digest(simulate_free_run(model, long_record.u))}")
         report = evaluate(model, one_step_set, mode="one-step")
         print(f"perfbench.{name}.one_step {digest(*report.predictions)}")
     for item, value in cli_digests().items():
