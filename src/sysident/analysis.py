@@ -1,10 +1,11 @@
 """Evaluation metrics, Volterra kernel extraction and error spectra.
 
-Kernel extraction turns a trained single-hidden-layer FIR network into the
-constant, first- and second-order kernels of the equivalent polynomial series
-with memory, by Taylor-expanding the hidden activations around their bias
-values. ``fd_volterra_oracle`` recovers the same kernels from input-pulse
-finite differences and serves as the independent cross-check.
+Kernel extraction turns any trained FIR feed-forward network with smooth
+activations (a TCN or an MLP of any depth) into the constant, first- and
+second-order kernels of its truncated Volterra series, by walking a
+second-order jet through the network's layers. ``fd_volterra_oracle``
+recovers the same kernels from input-pulse finite differences and serves as
+the independent cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError, UnsupportedError
-from .layers import Activation
+from .layers import (Activation, BatchNorm, CausalConv1d, Dropout,
+                     ResidualBlock)
 from .models import predict_records, receptive_field
 from .data import denormalize_output, normalize_dataset
 
@@ -75,7 +77,7 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
 
 
 # ---------------------------------------------------------------------------
-# Volterra kernels of single-hidden-layer FIR networks
+# Volterra kernels of FIR feed-forward networks
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -85,6 +87,15 @@ class VolterraKernels:
     h2: np.ndarray          # symmetric over (tau1, tau2)
     memory: int
     degree: int = 2
+
+
+def _fir_memory(model):
+    """Receptive field of a FIR single-input single-output model."""
+    if model.config.narx:
+        raise UnsupportedError("kernel extraction needs a FIR model (x = u)")
+    if model.config.nu != 1 or model.config.ny != 1:
+        raise UnsupportedError("kernel extraction is single-input single-output")
+    return receptive_field(model)    # raises for the LSTM: unbounded memory
 
 
 def _activation_derivatives(kind, b):
@@ -98,54 +109,64 @@ def _activation_derivatives(kind, b):
     return s, s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-def _fir_weights(model):
-    """Pull (W1, b1, w2, b_out) out of a single-hidden-layer FIR network."""
-    cfg = model.config
-    if cfg.family != "mlp" or cfg.depth != 1:
-        raise UnsupportedError(
-            "kernel extraction supports single-hidden-layer networks only")
-    if cfg.narx:
-        raise UnsupportedError("kernel extraction needs a FIR model (x = u)")
-    if cfg.nu != 1 or cfg.ny != 1:
-        raise UnsupportedError("kernel extraction is single-input single-output")
-    first = model.layers[0]
-    w1 = first.effective_weight()[:, 0, :]      # (hidden, memory), tap = lag
-    b1 = first.params["b"]
-    w2 = model.head.effective_weight()[0, :, 0]
-    b_out = float(model.head.params["b"][0])
-    return w1, b1, w2, b_out
+def _delay(x, s):
+    """x with every lag axis (all but the last) s lags later; the lags past
+    the memory drop off."""
+    out = np.zeros_like(x)
+    lags = x.ndim - 1
+    out[(slice(s, None),) * lags] = x[(slice(None, len(x) - s),) * lags]
+    return out
+
+
+def _jet(layers, jet):
+    """A signal's jet (v, h1, h2) pushed through ``layers`` applied in turn:
+    its value at zero input, (C,), and its kernels over input lags, (M, C)
+    and (M, M, C)."""
+    for layer in layers:
+        v, h1, h2 = jet
+        if isinstance(layer, ResidualBlock):
+            skip = jet if layer.skip is None else _jet([layer.skip], jet)
+            jet = tuple(a + b for a, b in zip(_jet(layer.body, jet), skip))
+        elif isinstance(layer, CausalConv1d):
+            w = layer.effective_weight()
+            jet = tuple(sum(_delay(x, i * layer.dilation) @ w[:, :, i].T
+                            for i in range(layer.kernel_size)) for x in jet)
+            jet = (jet[0] + layer.params["b"], *jet[1:])
+        elif isinstance(layer, Activation):
+            s0, s1, s2 = _activation_derivatives(layer.kind, v)
+            jet = (s0, s1 * h1, s1 * h2 + 0.5 * s2 * h1[:, None] * h1[None])
+        elif isinstance(layer, BatchNorm):
+            scale = layer.params["gamma"] / np.sqrt(layer.running_var + layer.eps)
+            jet = (scale * (v - layer.running_mean) + layer.params["beta"],
+                   scale * h1, scale * h2)
+        elif not isinstance(layer, Dropout):
+            raise UnsupportedError(
+                f"kernel extraction cannot expand a {type(layer).__name__}")
+    return jet
 
 
 def extract_volterra_kernels(model, degree=2):
-    """Kernels from the network weights, expanding activations at the biases.
+    """Kernels from the network weights: the jet of the input (v = 0, h1 = 1
+    at lag 0) walked through ``model.chain`` over the receptive field's lags.
 
-    h0       = b_out + sum_j w2[j] sigma(b[j])
-    h1[t]    = sum_j w2[j] sigma'(b[j]) W1[j,t]
-    h2[t,s]  = 1/2 sum_j w2[j] sigma''(b[j]) W1[j,t] W1[j,s]
-
-    A degree-1 series has no second-order term: its h2 is zero.
+    Conv tap i shifts lags by i * dilation; an activation maps h1 -> s' h1
+    and h2 -> s' h2 + 1/2 s'' h1 (x) h1 at its value v; evaluation-mode batch
+    norm scales by gamma / sqrt(var + eps); dropout is the identity; a
+    residual block adds its skip path's jet. With the receptive field as the
+    memory, no zero padding enters what the last output reads. A degree-1
+    series has no second-order term: its h2 is zero.
     """
     if degree < 1:
         raise ParameterError(f"kernel degree must be >= 1, got {degree}")
     if degree > 2:
         raise UnsupportedError("kernel extraction is truncated at degree 2")
-    w1, b1, w2, b_out = _fir_weights(model)
-    s0, s1, s2 = _activation_derivatives(model.config.activation, b1)
-    memory = w1.shape[1]
-    h0 = b_out + float(np.sum(w2 * s0))
-    h1 = np.einsum("j,jt->t", w2 * s1, w1)
-    h2 = np.zeros((memory, memory))
-    if degree == 2:
-        # per-unit outer products are exactly symmetric, so the sum is too
-        outer = w1[:, :, None] * w1[:, None, :]
-        h2 = 0.5 * np.sum((w2 * s2)[:, None, None] * outer, axis=0)
-    return VolterraKernels(h0=h0, h1=h1, h2=h2, memory=memory, degree=degree)
-
-
-def _fir_response(model, window):
-    """Model output for one input window; window[tau] is the lag-tau sample."""
-    x = window[::-1].copy()[None, None, :]
-    return float(model.forward(x, training=False)[0, 0, -1])
+    m = _fir_memory(model)
+    v, h1, h2 = _jet(model.chain, (np.zeros(1), np.eye(m, 1), np.zeros((m, m, 1))))
+    h2 = h2[:, :, 0]
+    # exactly symmetric, as addition commutes
+    h2 = 0.5 * (h2 + h2.T) if degree == 2 else np.zeros_like(h2)
+    return VolterraKernels(h0=float(v[0]), h1=h1[:, 0], h2=h2, memory=m,
+                           degree=degree)
 
 
 def fd_volterra_oracle(model, degree=2, amplitude=1e-3):
@@ -154,36 +175,30 @@ def fd_volterra_oracle(model, degree=2, amplitude=1e-3):
     Independent of the weight-based extraction: only forward evaluations of
     pulse inputs are used. ``amplitude`` is the probe pulse height.
     """
-    memory = receptive_field(model)
+    memory = _fir_memory(model)
     a = amplitude
 
-    def f(window):
-        return _fir_response(model, window)
+    def f(*pulses):
+        """Last output for an input window of (lag, height) pulses."""
+        window = np.zeros(memory)
+        for t, height in pulses:
+            window[t] = height
+        return float(model.forward(window[None, None, ::-1].copy(),
+                                   training=False)[0, 0, -1])
 
-    zero = np.zeros(memory)
-    f0 = f(zero)
-    h0 = f0
+    f0 = f()
     h1 = np.zeros(memory)
     h2 = np.zeros((memory, memory))
     for t in range(memory):
-        pulse = np.zeros(memory)
-        pulse[t] = a
-        fp = f(pulse)
-        fm = f(-pulse)
+        fp, fm = f((t, a)), f((t, -a))
         h1[t] = (fp - fm) / (2.0 * a)
         if degree >= 2:
             h2[t, t] = (fp - 2.0 * f0 + fm) / (2.0 * a * a)
-    if degree >= 2:
-        for t in range(memory):
             for s in range(t + 1, memory):
-                pp = np.zeros(memory); pp[t] = a; pp[s] = a
-                pm = np.zeros(memory); pm[t] = a; pm[s] = -a
-                mp = np.zeros(memory); mp[t] = -a; mp[s] = a
-                mm = np.zeros(memory); mm[t] = -a; mm[s] = -a
-                mixed = (f(pp) - f(pm) - f(mp) + f(mm)) / (8.0 * a * a)
-                h2[t, s] = mixed
-                h2[s, t] = mixed
-    return VolterraKernels(h0=h0, h1=h1, h2=h2, memory=memory, degree=degree)
+                h2[t, s] = h2[s, t] = (
+                    f((t, a), (s, a)) - f((t, a), (s, -a))
+                    - f((t, -a), (s, a)) + f((t, -a), (s, -a))) / (8.0 * a * a)
+    return VolterraKernels(h0=f0, h1=h1, h2=h2, memory=memory, degree=degree)
 
 
 def volterra_deviation(kernels, oracle):

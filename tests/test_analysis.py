@@ -4,9 +4,10 @@ import pytest
 from sysident import (Dataset, ModelConfig, NoiseSpec, Rng, SequenceRecord,
                       build_model, error_spectrum, evaluate,
                       extract_volterra_kernels, fd_volterra_oracle,
-                      make_chen_dataset, rmse, simulate_free_run,
-                      volterra_deviation)
+                      make_chen_dataset, receptive_field, rmse,
+                      simulate_free_run, volterra_deviation)
 from sysident.data import write_json
+from sysident.layers import Activation
 from sysident.errors import DataError, ParameterError, UnsupportedError
 
 
@@ -63,6 +64,62 @@ def fir_tanh_model(seed, memory=4, hidden=6, scale=0.5, activation="tanh",
     return model
 
 
+def randomized_fir_model(seed, **config):
+    """FIR model with every parameter drawn in [-1, 1] and randomized
+    batch-norm running statistics (means in [-0.5, 0.5], variances in
+    [0.5, 2])."""
+    model = build_model(ModelConfig(narx=False, **config), Rng(seed))
+    rng = Rng(seed + 1000)
+    for _, p in model.named_parameters():
+        p[...] = rng.uniform(-1.0, 1.0, p.shape)
+    for name, s in model.named_state():
+        low, high = (-0.5, 0.5) if name.endswith("mean") else (0.5, 2.0)
+        s[...] = rng.uniform(low, high, s.shape)
+    return model
+
+
+def closed_form_kernels(model):
+    """h0, h1 and h2 of a depth-1 MLP, expanding each hidden unit at its bias:
+    h0 = b_out + sum_j w2[j] sigma(b[j]), h1[t] = sum_j w2[j] sigma'(b[j])
+    W1[j, t] and h2[t, s] = 1/2 sum_j w2[j] sigma''(b[j]) W1[j, t] W1[j, s]."""
+    w1 = model.layers[0].effective_weight()[:, 0, :]   # (hidden, lags)
+    b1 = model.layers[0].params["b"]
+    w2 = model.head.effective_weight()[0, :, 0]
+    s = Activation(model.config.activation).apply(b1)
+    if model.config.activation == "tanh":
+        s1, s2 = 1.0 - s * s, -2.0 * s * (1.0 - s * s)
+    else:
+        s1, s2 = s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s)
+    h0 = float(model.head.params["b"][0] + np.sum(w2 * s))
+    h1 = np.einsum("j,jt->t", w2 * s1, w1)
+    h2 = 0.5 * np.einsum("j,jt,js->ts", w2 * s2, w1, w1)
+    return h0, h1, h2
+
+
+# FIR architectures beyond the depth-1 MLP: deep MLPs, and TCNs of depth
+# 1-3 with and without dilations, every norm kind, dropout, and identity
+# (hidden=1) as well as 1x1 (hidden>1) skips
+FIR_ARCHS = {
+    "mlp-d2": dict(family="mlp", hidden=4, depth=2, order=4),
+    "mlp-d3": dict(family="mlp", hidden=3, depth=3, order=6),
+    "tcn-d1-k3-h1": dict(family="tcn", hidden=1, depth=1, kernel_size=3),
+    "tcn-d2-k2-dil-batch": dict(family="tcn", hidden=3, depth=2,
+                                kernel_size=2, dilations=True, norm="batch",
+                                dropout=0.2),
+    "tcn-d3-k2-dil-weight-h1": dict(family="tcn", hidden=1, depth=3,
+                                    kernel_size=2, dilations=True,
+                                    norm="weight", dropout=0.2),
+    "tcn-d3-k3-batch": dict(family="tcn", hidden=2, depth=3, kernel_size=3,
+                            norm="batch", dropout=0.1),
+    "tcn-d2-k3-dil-weight": dict(family="tcn", hidden=4, depth=2,
+                                 kernel_size=3, dilations=True, norm="weight"),
+}
+# the depth-1 MLP cases keep the bare activation as their id
+FD_CASES = [pytest.param(act, None, id=act) for act in ("tanh", "sigmoid")] + [
+    pytest.param(act, arch, id=f"{name}-{act}")
+    for name, arch in FIR_ARCHS.items() for act in ("tanh", "sigmoid")]
+
+
 class TestVolterraExtraction:
     def test_constant_network(self):
         model = fir_tanh_model(1)
@@ -85,38 +142,60 @@ class TestVolterraExtraction:
         w2 = float(model.head.params["W"][0, 0, 0])
         assert np.allclose(kernels.h1, w2 * w1, atol=1e-15)
 
-    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
-    def test_matches_fd_oracle(self, activation):
-        for seed in range(5):
-            model = fir_tanh_model(10 + seed, memory=3 + seed % 3,
-                                   hidden=2 + seed, activation=activation)
+    @pytest.mark.parametrize("activation,arch", FD_CASES)
+    def test_matches_fd_oracle(self, activation, arch):
+        if arch is None:
+            models = [fir_tanh_model(10 + seed, memory=3 + seed % 3,
+                                     hidden=2 + seed, activation=activation)
+                      for seed in range(5)]
+        else:
+            models = [randomized_fir_model(30 + seed, activation=activation,
+                                           **arch) for seed in range(3)]
+        for model in models:
             got = extract_volterra_kernels(model)
-            ref = fd_volterra_oracle(model)
-            assert volterra_deviation(got, ref) < 1.0
+            assert got.memory == receptive_field(model)
+            # the oracle's own O(amplitude^2) error sets most of this
+            assert volterra_deviation(got, fd_volterra_oracle(model)) < 0.1
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_depth_1_mlp_equals_closed_form(self, activation):
+        for seed in range(5):
+            model = fir_tanh_model(40 + seed, memory=2 + seed, hidden=3 + seed,
+                                   activation=activation, scale=1.0)
+            got = extract_volterra_kernels(model)
+            for g, ref in zip((got.h0, got.h1, got.h2),
+                              closed_form_kernels(model)):
+                err = np.max(np.abs(g - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-14
 
     def test_h2_symmetric_exactly(self):
-        model = fir_tanh_model(3, memory=5)
-        kernels = extract_volterra_kernels(model)
-        assert np.array_equal(kernels.h2, kernels.h2.T)
-        oracle = fd_volterra_oracle(model)
-        assert np.array_equal(oracle.h2, oracle.h2.T)
+        tcn = randomized_fir_model(3, family="tcn", hidden=6, depth=3,
+                                   kernel_size=3, dilations=True, norm="batch",
+                                   activation="tanh")
+        for model in (fir_tanh_model(3, memory=5), tcn):
+            kernels = extract_volterra_kernels(model)
+            assert np.array_equal(kernels.h2, kernels.h2.T)
+            oracle = fd_volterra_oracle(model)
+            assert np.array_equal(oracle.h2, oracle.h2.T)
 
     def test_relu_rejected(self):
-        model = fir_tanh_model(4, activation="relu")
-        with pytest.raises(UnsupportedError, match="smooth"):
-            extract_volterra_kernels(model)
-
-    def test_deep_model_rejected(self):
-        cfg = ModelConfig(family="mlp", narx=False, hidden=4, depth=2,
-                          order=3, activation="tanh")
-        with pytest.raises(UnsupportedError):
-            extract_volterra_kernels(build_model(cfg, Rng(5)))
+        tcn = build_model(ModelConfig(family="tcn", narx=False, hidden=3,
+                                      depth=2, activation="relu"), Rng(5))
+        for model in (fir_tanh_model(4, activation="relu"), tcn):
+            with pytest.raises(UnsupportedError, match="smooth"):
+                extract_volterra_kernels(model)
 
     def test_narx_model_rejected(self):
         cfg = ModelConfig(family="mlp", narx=True, hidden=4, depth=1,
                           order=3, activation="tanh")
         with pytest.raises(UnsupportedError, match="FIR"):
             extract_volterra_kernels(build_model(cfg, Rng(6)))
+
+    def test_lstm_rejected(self):
+        # a FIR LSTM still has unbounded memory: no receptive field
+        cfg = ModelConfig(family="lstm", narx=False, hidden=4, depth=2)
+        with pytest.raises(UnsupportedError, match="unbounded"):
+            extract_volterra_kernels(build_model(cfg, Rng(7)))
 
 
 class TestFdOracle:
@@ -150,6 +229,21 @@ class TestFdOracle:
     def test_memory_matches_receptive_field(self):
         model = fir_tanh_model(9, memory=6)
         assert fd_volterra_oracle(model).memory == 6
+
+    @pytest.mark.parametrize("config,match", [
+        (dict(narx=True), "FIR"),
+        (dict(narx=False, nu=2), "single-input"),
+        (dict(narx=False, ny=2), "single-output"),
+    ], ids=["narx-tcn", "two-inputs", "two-outputs"])
+    def test_non_siso_fir_rejected(self, config, match):
+        # the oracle used to raise DimensionError on the first two and read
+        # output 0 alone of a two-output model
+        model = build_model(ModelConfig(family="tcn", hidden=3,
+                                        activation="tanh", **config), Rng(10))
+        with pytest.raises(UnsupportedError, match=match):
+            fd_volterra_oracle(model)
+        with pytest.raises(UnsupportedError, match=match):
+            extract_volterra_kernels(model)
 
 
 class TestErrorSpectrum:

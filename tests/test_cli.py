@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from sysident import ModelConfig, Rng, TrainConfig, build_model, save_checkpoint
+from sysident import (ModelConfig, Rng, TrainConfig, build_model,
+                      receptive_field, save_checkpoint)
 from sysident import analysis, cli, models
 from sysident.layers import ACTIVATIONS, NORM_KINDS
 from sysident.models import FAMILIES
@@ -561,6 +562,37 @@ class TestVolterra:
         ckpt = self._fir_checkpoint(tmp_path, activation="relu")
         assert run_cli("volterra", "--checkpoint", ckpt, "--verify",
                        "--out", tmp_path / "o") == 3
+
+    def test_fir_tcn_kernels_verify(self, tmp_path):
+        cfg = ModelConfig(family="tcn", narx=False, hidden=4, depth=2,
+                          kernel_size=2, dilations=True, norm="batch",
+                          activation="tanh")
+        model = build_model(cfg, Rng(14))
+        rng = Rng(15)
+        for _, p in model.named_parameters():
+            p[...] = rng.uniform(-1.0, 1.0, p.shape)
+        ckpt = tmp_path / "tcn.json"
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "volterra"
+        assert run_cli("volterra", "--checkpoint", ckpt, "--verify",
+                       "--out", out) == 0
+        memory = receptive_field(model)          # 1 + 2 * (1 + 2) = 7
+        h2 = (out / "h2.csv").read_text().strip().splitlines()
+        assert len(h2) == 1 + memory
+        assert all(len(row.split(",")) == memory for row in h2)
+
+    @pytest.mark.parametrize("config", [
+        dict(family="lstm", narx=False, hidden=4),
+        dict(family="tcn", narx=False, hidden=4, depth=2, activation="relu"),
+    ], ids=["lstm", "relu-tcn"])
+    def test_unsupported_checkpoint_exit_3(self, tmp_path, capsys, config):
+        ckpt = tmp_path / "model.json"
+        save_checkpoint(build_model(ModelConfig(**config), Rng(16)), ckpt)
+        out = tmp_path / "o"
+        assert run_cli("volterra", "--checkpoint", ckpt, "--verify",
+                       "--out", out) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not list(out.glob("h*.csv"))
 
 
 def test_eval_numeric_outputs_reproducible(tmp_path):

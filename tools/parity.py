@@ -10,6 +10,9 @@ checkpoint file bytes. The ``tcn_bench_epoch`` case digests the same trained
 items after one epoch of the benchmark's TCN training (h32, d4, k4, dilated,
 batch norm, dropout 0.3, 20x100 Chen records in batches of 8, so the last
 batch has 4 rows), whose matrix sizes the small cases do not reach. The
+``volterra.tcn_fir`` case digests the Volterra kernels (h0, h1, h2) of a
+seeded FIR tanh TCN (dilated, batch norm, dropout) trained like the model
+cases. The
 ``perfbench.*`` cases digest batched free-run of the committed benchmark
 models, their one-record (B = 1) free-run of a 400-sample record (over
 four times the TCN's receptive field of 91, so every ring buffer wraps),
@@ -41,9 +44,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
-                      build_model, evaluate, load_checkpoint, make_chen_dataset,
-                      predict_one_step, save_checkpoint, simulate_free_run,
-                      train)
+                      build_model, evaluate, extract_volterra_kernels,
+                      load_checkpoint, make_chen_dataset, predict_one_step,
+                      save_checkpoint, simulate_free_run, train)
 from sysident.cli import main as cli_main  # noqa: E402
 
 MODEL_CASES = {
@@ -55,6 +58,9 @@ MODEL_CASES = {
     "mlp_d2": dict(family="mlp", hidden=8, depth=2, order=4,
                    activation="tanh"),
 }
+VOLTERRA_TCN = dict(family="tcn", narx=False, hidden=5, depth=2,
+                    kernel_size=3, dilations=True, norm="batch", dropout=0.2,
+                    activation="tanh")
 BENCH_TCN = dict(family="tcn", hidden=32, depth=4, kernel_size=4,
                  dilations=True, norm="batch", dropout=0.3)
 BENCH_MODELS = ("tcn", "mlp", "lstm")
@@ -82,11 +88,15 @@ def trained_digest(model, history):
                   *[np.asarray(col, dtype=np.float64) for col in hist])
 
 
-def model_case(kw, train_set, valid_set, tmp):
+def train_case(kw, train_set, valid_set):
     model = build_model(ModelConfig(**kw), Rng(11))
     tc = TrainConfig(lr=0.01, max_epochs=4, batch_size=4, subseq_len=20,
                      early_stop_patience=2, plateau_patience=1, seed=12)
-    model, history = train(model, train_set, valid_set, tc)
+    return train(model, train_set, valid_set, tc)
+
+
+def model_case(kw, train_set, valid_set, tmp):
+    model, history = train_case(kw, train_set, valid_set)
     out = {"trained": trained_digest(model, history)}
     out["one_step"] = digest(*[predict_one_step(model, r) for r in valid_set.records])
     out["free_run_batched"] = free_run_digest(model, valid_set.records)
@@ -167,6 +177,9 @@ def main():
         for name, kw in MODEL_CASES.items():
             for item, hexdigest in model_case(kw, train_set, valid_set, tmp).items():
                 print(f"{name}.{item} {hexdigest}")
+    kernels = extract_volterra_kernels(
+        train_case(VOLTERRA_TCN, train_set, valid_set)[0])
+    print(f"volterra.tcn_fir {digest(kernels.h0, kernels.h1, kernels.h2)}")
     bench_noise = NoiseSpec(0.3, 0.3)
     model = build_model(ModelConfig(**BENCH_TCN), Rng(13))
     model, history = train(model, make_chen_dataset(20, 100, bench_noise, seed=4),
