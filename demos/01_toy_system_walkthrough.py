@@ -11,7 +11,7 @@ Run:  python demos/01_toy_system_walkthrough.py
 import numpy as np
 
 from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig, build_model,
-                      evaluate, make_chen_dataset, receptive_field, train)
+                      evaluate, make_chen_dataset, train)
 
 # The training set mirrors the toy-problem recipe: 20 records of 100 samples,
 # standard-normal input held for 5 samples, noise std 0.3 on both the process
@@ -29,7 +29,7 @@ config = ModelConfig(family="tcn", hidden=16, depth=2, kernel_size=2,
                      activation="relu")
 model = build_model(config, Rng(3))
 print(f"model: {config.family}, {model.num_parameters()} parameters, "
-      f"receptive field {receptive_field(model)} samples")
+      f"receptive field {model.receptive_field} samples")
 
 train_config = TrainConfig(max_epochs=80, batch_size=8, subseq_len=100,
                            seed=3, plateau_patience=10,

@@ -24,8 +24,7 @@ from .gridsearch import (GridRow, GridSpace, chen_lstm_space, chen_mlp_space,
                          marginal_quartiles, run_grid, select_best)
 from .models import (ModelConfig, build_model, count_parameters,
                      free_run_naive, load_checkpoint, lstm_cell_step,
-                     predict_one_step, receptive_field, save_checkpoint,
-                     simulate_free_run)
+                     predict_one_step, save_checkpoint, simulate_free_run)
 from .tensor import Rng, derive_seed
 from .training import (Adam, RMSprop, SGDMomentum, TrainConfig, TrainHistory,
                        mse_loss, train, validation_loss)

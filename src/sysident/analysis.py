@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError, UnsupportedError
 from .layers import (Activation, BatchNorm, CausalConv1d, Dropout,
                      ResidualBlock)
-from .models import predict_records, receptive_field
+from .models import predict_records
 from .data import denormalize_output, normalize_dataset
 
 
@@ -95,7 +95,7 @@ def _fir_memory(model):
         raise UnsupportedError("kernel extraction needs a FIR model (x = u)")
     if model.config.nu != 1 or model.config.ny != 1:
         raise UnsupportedError("kernel extraction is single-input single-output")
-    return receptive_field(model)    # raises for the LSTM: unbounded memory
+    return model.receptive_field    # raises for the LSTM: unbounded memory
 
 
 def _activation_derivatives(kind, b):

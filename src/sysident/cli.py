@@ -26,8 +26,8 @@ from .errors import (ConfigError, DataError, NumericError, SysidentError,
                      UnsupportedError)
 from .gridsearch import GridRow, GridSpace, run_grid, select_best
 from .layers import ACTIVATIONS, NORM_KINDS
-from .models import (FAMILIES, ModelConfig, build_model, load_checkpoint,
-                     save_checkpoint)
+from .models import (FAMILIES, MODES, ModelConfig, build_model,
+                     load_checkpoint, save_checkpoint)
 from .tensor import Rng, derive_seed
 from .training import OPTIMIZERS, TrainConfig, train
 
@@ -154,7 +154,7 @@ def cmd_eval(args, seed):
     rate = 1.0 if first.sample_rate is None else first.sample_rate
     if args.band is not None:   # reject a bad band before writing any file
         error_spectrum(np.zeros(first.length), sample_rate=rate, band=args.band)
-    modes = ["one-step", "free-run"] if args.mode == "both" else [args.mode]
+    modes = MODES if args.mode == "both" else [args.mode]
     outputs = []
     for mode in modes:
         report = evaluate(model, dataset, mode=mode, warmup=args.warmup,
@@ -298,8 +298,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     _add_column_flags(p)
-    p.add_argument("--mode", choices=["one-step", "free-run", "both"],
-                   default="both")
+    p.add_argument("--mode", choices=[*MODES, "both"], default="both")
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--band", type=float, nargs=2, metavar=("F_LO", "F_HI"))
     p.add_argument("--seed", type=int)
@@ -314,8 +313,7 @@ def build_parser():
     _add_config_flags(p, TrainConfig, _TRAIN_FIELDS)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--metric", choices=["one-step", "free-run"],
-                   default="one-step")
+    p.add_argument("--metric", choices=MODES, default="one-step")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="out_grid")
     p.set_defaults(func=cmd_gridsearch)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import evaluate
 from .errors import ConfigError, DataError, SysidentError
-from .models import ModelConfig, build_model, count_parameters
+from .models import MODES, ModelConfig, build_model, count_parameters
 from .tensor import Rng, derive_seed
 from .training import train
 
@@ -97,6 +97,10 @@ def f16_tcn_space():
     })
 
 
+# the GridRow field that holds each evaluation mode's validation RMSE
+_METRIC_FIELDS = {mode: "rmse_" + mode.replace("-", "_") for mode in MODES}
+
+
 @dataclass
 class GridRow:
     index: int
@@ -134,17 +138,16 @@ def _run_single(payload):
         model = build_model(config, Rng(seed))
         tc = replace(train_config, seed=seed)
         model, history = train(model, train_set, valid_set, tc)
-        one_step = evaluate(model, valid_set, mode="one-step").rmse_mean
-        free_run = evaluate(model, valid_set, mode="free-run").rmse_mean
+        scores = {field: evaluate(model, valid_set, mode=mode).rmse_mean
+                  for mode, field in _METRIC_FIELDS.items()}
         return GridRow(index=index, repetition=repetition,
                        config=config.to_dict(), seed=seed, status="ok",
-                       rmse_one_step=one_step, rmse_free_run=free_run,
-                       best_epoch=history.best_epoch,
+                       **scores, best_epoch=history.best_epoch,
                        wall_clock=time.perf_counter() - t0)
     except SysidentError:
         return GridRow(index=index, repetition=repetition,
                        config=config.to_dict(), seed=seed, status="failed",
-                       rmse_one_step=None, rmse_free_run=None, best_epoch=None,
+                       **dict.fromkeys(_METRIC_FIELDS.values()), best_epoch=None,
                        wall_clock=time.perf_counter() - t0)
 
 
@@ -246,7 +249,7 @@ def select_best(rows, metric="one-step"):
 
     Ties break toward fewer parameters, then lexicographic configuration order.
     """
-    attr = {"one-step": "rmse_one_step", "free-run": "rmse_free_run"}[metric]
+    attr = _METRIC_FIELDS[metric]
     ok = [r for r in rows if r.status == "ok" and getattr(r, attr) is not None]
     if not ok:
         raise DataError("no successful grid rows to select from")
@@ -263,7 +266,7 @@ def select_best(rows, metric="one-step"):
 def marginal_quartiles(rows, axis, metric="one-step"):
     """Box-plot aggregation: quartiles of the metric per value of one axis,
     marginalizing over every other hyperparameter."""
-    attr = {"one-step": "rmse_one_step", "free-run": "rmse_free_run"}[metric]
+    attr = _METRIC_FIELDS[metric]
     groups = {}
     for row in rows:
         if row.status != "ok" or getattr(row, attr) is None:

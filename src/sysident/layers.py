@@ -68,7 +68,11 @@ class Layer:
 
     ``children`` lists the child layers once, as (name, layer) pairs, in the
     order in which their parameters and state are named and saved.
+    ``receptive_field`` counts the input samples, the current one included,
+    that can move one output sample: 1 for a layer without memory.
     """
+
+    receptive_field = 1
 
     def __init__(self):
         self.params = {}
@@ -130,6 +134,11 @@ def chain_step(layers, col):
     for layer in layers:
         col = layer.step(col)
     return col
+
+
+def chain_receptive_field(layers):
+    # each layer reaches rf - 1 samples further back than its input does
+    return 1 + sum(layer.receptive_field - 1 for layer in layers)
 
 
 class CausalConv1d(Layer):
@@ -425,11 +434,7 @@ class ResidualBlock(Layer):
         super().__init__()
         if norm not in NORM_KINDS:
             raise ParameterError(f"unknown norm kind '{norm}'")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.dilation = dilation
-        self.kernel_size = kernel_size
-        self.norm = norm
         init = "he" if activation == "relu" else "glorot"
         wn = norm == "weight"
         self.conv1 = CausalConv1d(in_channels, out_channels, kernel_size,
@@ -456,7 +461,7 @@ class ResidualBlock(Layer):
 
     @property
     def receptive_field(self):
-        return 2 * (self.kernel_size - 1) * self.dilation + 1
+        return chain_receptive_field(self.body)   # the skip path is 1x1
 
     def forward(self, x, training=False):
         h = chain_forward(self.body, x, training)

@@ -25,15 +25,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import write_json
+from .data import SequenceRecord, write_json
 from .errors import (ConfigError, DataError, DimensionError, ParameterError,
                      UnsupportedError)
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
                      Dropout, Layer, ResidualBlock, _init_weight, _sigmoid,
-                     chain_backward, chain_forward, chain_step)
+                     chain_backward, chain_forward, chain_receptive_field,
+                     chain_step)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
+MODES = ("one-step", "free-run")     # the evaluation modes
 # the Python types each annotated ModelConfig field accepts; bool, although
 # an int subclass, is neither a size nor a rate
 _ACCEPTED_TYPES = {int: int, bool: bool, float: (int, float), str: str}
@@ -118,6 +120,10 @@ class SequenceNet(Layer):
 
     def num_parameters(self):
         return sum(p.size for _, p in self.named_parameters())
+
+    @property
+    def receptive_field(self):
+        return chain_receptive_field(self.chain)
 
     def forward(self, x, training=False):
         return chain_forward(self.chain, x, training)
@@ -215,10 +221,11 @@ class LstmLayer(Layer):
     """One LSTM layer over (batch, channels, time), run one step at a time.
 
     ``drop``, set on every layer but the top one of a stack, is inverted
-    dropout on the layer's output with one (batch, hidden) mask per time
-    step; the recurrence carries the unmasked h. Streaming keeps (h, c).
+    dropout on the layer's output, drawn once as a (time, batch, hidden)
+    mask; the recurrence carries the unmasked h. Streaming keeps (h, c).
     ``backward`` (BPTT) needs a training-mode ``forward`` before it: only
-    that one keeps the per-step cell caches and dropout masks.
+    that one keeps the per-step cell caches. The memory is unbounded, so
+    there is no receptive field.
     """
 
     def __init__(self, in_size, hidden, rng):
@@ -231,8 +238,12 @@ class LstmLayer(Layer):
                                           hidden, hidden, "glorot"))
         self._register("b", np.zeros(4 * hidden))
         self.drop = None
-        self._steps = None     # (cell cache, dropout mask or None) per step
+        self._steps = None     # cell cache per step
         self._state = None
+
+    @property
+    def receptive_field(self):
+        raise UnsupportedError("receptive field is unbounded for recurrent models")
 
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[1] != self.in_size:
@@ -242,22 +253,20 @@ class LstmLayer(Layer):
         b_sz, _, t_len = x.shape
         h = np.zeros((b_sz, self.hidden))
         c = np.zeros((b_sz, self.hidden))
-        out = np.zeros((b_sz, self.hidden, t_len))
+        hs = np.empty((t_len, b_sz, self.hidden))
         # only BPTT reads the per-step caches, so an evaluation forward keeps
         # none: a long-lived model would otherwise hold B x T x 6 arrays
         self._steps = [] if training else None
         for t in range(t_len):
             h, c, cache = lstm_cell_step(x[:, :, t], h, c, self.params["Wx"],
                                          self.params["Wh"], self.params["b"])
-            if self.drop is None:
-                out[:, :, t] = h
-                mask = None
-            else:
-                out[:, :, t] = self.drop.forward(h, training)
-                mask = self.drop.mask
+            hs[t] = h
             if training:
-                self._steps.append((cache, mask))
-        return out
+                self._steps.append(cache)
+        if self.drop is not None:
+            # one (T, B, H) draw fills the stream as T (B, H) draws would
+            hs = self.drop.forward(hs, training)
+        return np.ascontiguousarray(hs.transpose(1, 2, 0))
 
     def backward(self, grad):
         if self._steps is None:
@@ -266,11 +275,13 @@ class LstmLayer(Layer):
         d_h = np.zeros((b_sz, self.hidden))
         d_c = np.zeros((b_sz, self.hidden))
         d_x = np.zeros((b_sz, self.in_size, t_len))
+        down = grad.transpose(2, 0, 1)
+        if self.drop is not None:
+            down = self.drop.backward(down)
         for t in range(t_len - 1, -1, -1):
-            cache, mask = self._steps[t]
-            down = grad[:, :, t] if mask is None else grad[:, :, t] * mask
             d_xt, d_h, d_c, d_wx, d_wh, d_b = lstm_cell_backward(
-                cache, d_h + down, d_c, self.params["Wx"], self.params["Wh"])
+                self._steps[t], d_h + down[t], d_c, self.params["Wx"],
+                self.params["Wh"])
             self.grads["Wx"] += d_wx
             self.grads["Wh"] += d_wh
             self.grads["b"] += d_b
@@ -309,22 +320,8 @@ def count_parameters(config):
     return build_model(config, Rng(0)).num_parameters()
 
 
-def receptive_field(model):
-    """Number of past samples (current one included) that can move one output."""
-    c = model.config
-    if c.family == "tcn":
-        return 1 + sum(b.receptive_field - 1 for b in model.blocks)
-    if c.family == "mlp":
-        return c.order
-    raise UnsupportedError("receptive field is unbounded for recurrent models")
-
-
 def stack_model_input(record, narx):
     """Input channels for a record: (u, y) stacked in NARX mode, u alone in FIR."""
-    if record.u.shape[1] != record.y.shape[1]:
-        raise DataError(
-            f"u and y lengths differ: {record.u.shape[1]} vs {record.y.shape[1]}"
-        )
     if narx:
         return np.concatenate([record.u, record.y], axis=0)
     return record.u
@@ -362,7 +359,7 @@ def predict_records(model, records, mode):
     an LSTM group as one (B, C, T) forward. As with free-run, a batched LSTM
     row may differ from the one-record prediction in the last bits.
     """
-    if mode not in ("one-step", "free-run"):
+    if mode not in MODES:
         raise DataError(f"unknown evaluation mode '{mode}'")
     groups = {}
     for i, rec in enumerate(records):
@@ -423,23 +420,16 @@ def simulate_free_run(model, u):
 def free_run_naive(model, u):
     """Sliding-window re-evaluation oracle for ``simulate_free_run``.
 
-    Runs a whole forward pass over the input history at every step; O(T^2)
-    and only meant for cross-checking.
+    Free-run is one-step prediction fed back: yhat[k] is the last one-step
+    prediction over the record (u[:k+1], yhat[:k+1]), whose unknown yhat[k]
+    the one-sample shift drops. A whole forward pass per step; O(T^2) and
+    only meant for cross-checking.
     """
-    c = model.config
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[None, :]
-    t_len = u.shape[1]
-    yhat = np.zeros((c.ny, t_len))
-    # column j + 1 holds x[j], column 0 the zero history
-    x = np.zeros((1, c.in_channels, t_len))
-    for k in range(t_len):
-        if k > 0:
-            x[0, :c.nu, k] = u[:, k - 1]
-            if c.narx:
-                x[0, c.nu:, k] = yhat[:, k - 1]
-        yhat[:, k] = model.forward(x[:, :, :k + 1], training=False)[0, :, k]
+    u = np.atleast_2d(u)
+    yhat = np.zeros((model.config.ny, u.shape[1]))
+    for k in range(u.shape[1]):
+        history = SequenceRecord(u[:, :k + 1], yhat[:, :k + 1])
+        yhat[:, k] = predict_one_step(model, history)[:, k]
     return yhat
 
 

@@ -4,7 +4,7 @@ import pytest
 from sysident import (Dataset, ModelConfig, NoiseSpec, Rng, SequenceRecord,
                       build_model, error_spectrum, evaluate,
                       extract_volterra_kernels, fd_volterra_oracle,
-                      make_chen_dataset, receptive_field, rmse,
+                      make_chen_dataset, rmse,
                       simulate_free_run, volterra_deviation)
 from sysident.data import write_json
 from sysident.layers import Activation
@@ -153,7 +153,7 @@ class TestVolterraExtraction:
                                            **arch) for seed in range(3)]
         for model in models:
             got = extract_volterra_kernels(model)
-            assert got.memory == receptive_field(model)
+            assert got.memory == model.receptive_field
             # the oracle's own O(amplitude^2) error sets most of this
             assert volterra_deviation(got, fd_volterra_oracle(model)) < 0.1
 

@@ -1,15 +1,17 @@
 import argparse
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from sysident import (ModelConfig, Rng, TrainConfig, build_model,
-                      receptive_field, save_checkpoint)
+from sysident import (ModelConfig, NormConstants, Rng, TrainConfig,
+                      build_model, compute_norm_constants, evaluate,
+                      load_checkpoint, load_csv_dataset, save_checkpoint)
 from sysident import analysis, cli, models
 from sysident.layers import ACTIVATIONS, NORM_KINDS
-from sysident.models import FAMILIES
+from sysident.models import FAMILIES, MODES
 from sysident.training import OPTIMIZERS
 from sysident.cli import main
 from sysident.data import Dataset, SequenceRecord, save_csv_dataset
@@ -161,6 +163,42 @@ class TestTrain:
                 "validation data has 2 / 1") in err
         assert not (out / "checkpoint.json").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_non_finite_loss_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        val = tmp_path / "val.csv"
+        write_linear_dataset(data, 2, 40, seed=6)
+        write_linear_dataset(val, 2, 40, seed=7)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--val", val, "--hidden", 3,
+                       "--lr", 1e300, "--epochs", 3, "--seed", 6,
+                       "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "validation loss became non-finite at epoch 0" in err
+        assert "Traceback" not in err
+        assert not list(out.iterdir())     # no checkpoint, no manifest
+
+    def test_normalize_uses_training_statistics(self, tmp_path):
+        data = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        write_linear_dataset(data, 4, 40, seed=6)
+        write_linear_dataset(test, 2, 40, seed=7)
+        run = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--hidden", 3, "--epochs", 2,
+                       "--normalize", "--seed", 6, "--out", run) == 0
+        ckpt = run / "checkpoint.json"
+        model, norm = load_checkpoint(ckpt)
+        assert norm == compute_norm_constants(load_csv_dataset(data)).to_dict()
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", test,
+                       "--out", out) == 0
+        for mode in MODES:
+            report = json.loads(
+                (out / f"report_{mode.replace('-', '_')}.json").read_text())
+            direct = evaluate(model, load_csv_dataset(test, role="test"),
+                              mode=mode,
+                              normalization=NormConstants.from_dict(norm))
+            assert report["rmse_mean"] == direct.rmse_mean
 
     @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
     def test_family_dispatch(self, tmp_path, family):
@@ -558,6 +596,22 @@ class TestVolterra:
         assert "degree" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_failed_verification_exit_4(self, tmp_path, capsys, monkeypatch):
+        def shifted_oracle(model, degree=2):
+            # an oracle one lag off: its h1 disagrees with the extraction
+            kernels = analysis.fd_volterra_oracle(model, degree=degree)
+            return dataclasses.replace(kernels, h1=np.roll(kernels.h1, 1))
+
+        monkeypatch.setattr(cli, "fd_volterra_oracle", shifted_oracle)
+        ckpt = self._fir_checkpoint(tmp_path)
+        out = tmp_path / "volterra"
+        assert run_cli("volterra", "--checkpoint", ckpt, "--verify",
+                       "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "deviate from the finite-difference oracle" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_relu_checkpoint_exit_3(self, tmp_path, capsys):
         ckpt = self._fir_checkpoint(tmp_path, activation="relu")
         assert run_cli("volterra", "--checkpoint", ckpt, "--verify",
@@ -576,7 +630,7 @@ class TestVolterra:
         out = tmp_path / "volterra"
         assert run_cli("volterra", "--checkpoint", ckpt, "--verify",
                        "--out", out) == 0
-        memory = receptive_field(model)          # 1 + 2 * (1 + 2) = 7
+        memory = model.receptive_field           # 1 + 2 * (1 + 2) = 7
         h2 = (out / "h2.csv").read_text().strip().splitlines()
         assert len(h2) == 1 + memory
         assert all(len(row.split(",")) == memory for row in h2)
@@ -635,6 +689,7 @@ class TestFlagsComeFromConfigTypes:
         ("train", "family", FAMILIES), ("train", "norm", NORM_KINDS),
         ("train", "activation", ACTIVATIONS),
         ("train", "optimizer", tuple(OPTIMIZERS)),
-        ("gridsearch", "optimizer", tuple(OPTIMIZERS))])
+        ("gridsearch", "optimizer", tuple(OPTIMIZERS)),
+        ("gridsearch", "metric", MODES), ("eval", "mode", (*MODES, "both"))])
     def test_choices_are_the_owning_tuple(self, command, dest, owner):
         assert tuple(self._subcommand_actions(command)[dest].choices) == owner

@@ -6,8 +6,7 @@ import pytest
 
 from sysident import (Dataset, ModelConfig, Rng, build_model, count_parameters,
                       evaluate, free_run_naive, load_checkpoint,
-                      predict_one_step, receptive_field, save_checkpoint,
-                      simulate_free_run)
+                      predict_one_step, save_checkpoint, simulate_free_run)
 from sysident.data import SequenceRecord
 from sysident.errors import (ConfigError, DataError, DimensionError,
                              ParameterError, UnsupportedError)
@@ -419,16 +418,17 @@ class TestReceptiveField:
         cfg = ModelConfig(family="tcn", depth=3, kernel_size=2, dilations=True)
         model = build_model(cfg, Rng(1))
         # two convolutions per block: 1 + 2*(1 + 2 + 4) = 15
-        assert receptive_field(model) == 15
+        assert model.receptive_field == 15
 
     def test_mlp_field_is_model_order(self):
-        cfg = ModelConfig(family="mlp", order=7)
-        assert receptive_field(build_model(cfg, Rng(2))) == 7
+        for depth in (1, 3):    # deeper hidden layers are 1x1: no more memory
+            cfg = ModelConfig(family="mlp", order=7, depth=depth)
+            assert build_model(cfg, Rng(2)).receptive_field == 7
 
     def test_lstm_unsupported(self):
         cfg = ModelConfig(family="lstm")
         with pytest.raises(UnsupportedError):
-            receptive_field(build_model(cfg, Rng(3)))
+            build_model(cfg, Rng(3)).receptive_field
 
     def test_impulse_probing_confirms_field(self):
         cfg = ModelConfig(family="tcn", hidden=3, depth=2, kernel_size=2,
@@ -437,7 +437,7 @@ class TestReceptiveField:
         # positive weights guarantee every in-field path stays live
         for _, p in model.named_parameters():
             p[...] = np.abs(p) + 0.25
-        field = receptive_field(model)
+        field = model.receptive_field
         t_len = field + 4
         base = model.forward(np.zeros((1, 2, t_len)), training=False)
         inside = np.zeros((1, 2, t_len))
@@ -467,7 +467,7 @@ class TestTimeInvariance:
         cfg = ModelConfig(family="tcn", hidden=4, depth=2, kernel_size=2,
                           activation="sigmoid")
         model = build_model(cfg, Rng(7))
-        field = receptive_field(model)
+        field = model.receptive_field
         x = Rng(8).gaussian((1, 2, 25))
         base = model.forward(x, training=False)
         s = 3

@@ -16,8 +16,9 @@ cases. The
 ``perfbench.*`` cases digest batched free-run of the committed benchmark
 models, their one-record (B = 1) free-run of a 400-sample record (over
 four times the TCN's receptive field of 91, so every ring buffer wraps),
-and their ``evaluate`` one-step predictions on a 10-record set (one 10-row
-forward for the LSTM). The ``cli.*`` cases run seeded ``sysident`` commands
+the sliding-window oracle ``free_run_naive`` over the first 40 samples of
+that record, and their ``evaluate`` one-step predictions on a 10-record set
+(one 10-row forward for the LSTM). The ``cli.*`` cases run seeded ``sysident`` commands
 (generate, train --normalize, eval of both modes with a band and a warm-up,
 volterra --verify of a FIR MLP, gridsearch over two repetitions) in a
 temporary directory, with relative paths, and digest every file each
@@ -45,7 +46,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
                       build_model, evaluate, extract_volterra_kernels,
-                      load_checkpoint, make_chen_dataset, predict_one_step,
+                      free_run_naive, load_checkpoint, make_chen_dataset, predict_one_step,
                       save_checkpoint, simulate_free_run, train)
 from sysident.cli import main as cli_main  # noqa: E402
 
@@ -197,6 +198,8 @@ def main():
               f"{free_run_digest(model, bench_set.records)}")
         print(f"perfbench.{name}.free_run_single "
               f"{digest(simulate_free_run(model, long_record.u))}")
+        print(f"perfbench.{name}.free_run_naive "
+              f"{digest(free_run_naive(model, long_record.u[:, :40]))}")
         report = evaluate(model, one_step_set, mode="one-step")
         print(f"perfbench.{name}.one_step {digest(*report.predictions)}")
     for item, value in cli_digests().items():
