@@ -3,30 +3,34 @@
 Expands a Cartesian grid over hidden size and depth, trains every
 configuration with a deterministic per-configuration seed, then marginalizes
 the validation RMSE over each axis (the aggregation behind box plots of
-hyperparameter effects). The full-size sweep definitions used for the toy
-problem and the aircraft benchmark are available as chen_tcn_space(),
-chen_mlp_space(), chen_lstm_space() and f16_tcn_space().
+hyperparameter effects). The full-size sweeps for the toy problem and the
+aircraft benchmark are grid files in grids/ (chen_tcn.json, chen_mlp.json,
+chen_lstm.json, f16_tcn.json), each run by `sysident gridsearch --grid`.
 
 Run:  python demos/03_hyperparameter_grid.py
 """
 
-from sysident import (GridSpace, ModelConfig, NoiseSpec, TrainConfig,
-                      chen_tcn_space, grid_expand, make_chen_dataset,
-                      marginal_quartiles, run_grid, select_best)
+from pathlib import Path
 
-print(f"full toy-problem TCN sweep would cover {chen_tcn_space().size} "
-      f"configurations; running a 6-point slice instead\n")
+from sysident import (ModelConfig, NoiseSpec, TrainConfig, grid_expand,
+                      load_grid, make_chen_dataset, marginal_quartiles,
+                      run_grid, select_best)
+
+paper_grid = Path(__file__).resolve().parents[1] / "grids" / "chen_tcn.json"
+print(f"the full toy-problem TCN sweep grids/chen_tcn.json covers "
+      f"{len(load_grid(paper_grid, 1, 1))} configurations; "
+      f"running a 6-point slice instead\n")
 
 train_set = make_chen_dataset(10, 100, NoiseSpec(0.3, 0.3), seed=5)
 valid_set = make_chen_dataset(2, 100, NoiseSpec(0.3, 0.3), seed=6,
                               role="validation")
 
-space = GridSpace(axes={"hidden": [8, 16, 32], "depth": [1, 2]})
-base = ModelConfig(family="tcn", kernel_size=2, activation="relu")
+configs = grid_expand({"hidden": [8, 16, 32], "depth": [1, 2]},
+                      ModelConfig(family="tcn", kernel_size=2, activation="relu"))
 train_config = TrainConfig(max_epochs=40, batch_size=8, subseq_len=100,
                            seed=7, early_stop_patience=15)
 
-rows = run_grid(space, train_set, valid_set, train_config, base=base)
+rows = run_grid(configs, train_set, valid_set, train_config)
 print("hidden  depth  one-step RMSE  free-run RMSE")
 for row in rows:
     print(f"{row.config['hidden']:>6}  {row.config['depth']:>5}  "

@@ -19,9 +19,8 @@ from .data import (Dataset, NoiseSpec, NormConstants, SequenceRecord,
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      ParameterError, SchemaError, SysidentError,
                      TrainingDiverged, UnsupportedError)
-from .gridsearch import (GridRow, GridSpace, chen_lstm_space, chen_mlp_space,
-                         chen_tcn_space, f16_tcn_space, grid_expand,
-                         marginal_quartiles, run_grid, select_best)
+from .gridsearch import (GridRow, grid_expand, load_grid, marginal_quartiles,
+                         run_grid, select_best)
 from .models import (ModelConfig, build_model, count_parameters,
                      free_run_naive, load_checkpoint, lstm_cell_step,
                      predict_one_step, save_checkpoint, simulate_free_run)

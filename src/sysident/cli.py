@@ -8,11 +8,10 @@ operation, 4 numeric failure.
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,9 +21,8 @@ from .analysis import (error_spectrum, evaluate, extract_volterra_kernels,
 from .data import (NoiseSpec, NormConstants, compute_norm_constants,
                    load_csv_dataset, make_chen_dataset, normalize_dataset,
                    save_csv_dataset, write_csv, write_json)
-from .errors import (ConfigError, DataError, NumericError, SysidentError,
-                     UnsupportedError)
-from .gridsearch import GridRow, GridSpace, run_grid, select_best
+from .errors import DataError, NumericError, SysidentError, UnsupportedError
+from .gridsearch import GridRow, load_grid, run_grid, select_best
 from .layers import ACTIVATIONS, NORM_KINDS
 from .models import (FAMILIES, MODES, ModelConfig, build_model,
                      load_checkpoint, save_checkpoint)
@@ -197,23 +195,11 @@ def _write_spectrum(record, yhat, rate, band, path):
 
 
 def cmd_gridsearch(args, seed):
-    with open(args.grid, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:   # not JSON, or not UTF-8 text
-            raise ConfigError(f"grid file {args.grid} is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or "axes" not in doc:
-        raise ConfigError(f"grid file {args.grid} has no 'axes' entry")
-    space = GridSpace(axes=doc["axes"])
-    given = doc.get("base", {})
-    base = ModelConfig.from_dict(given)
     tc = _train_config_from_args(args, seed)
     train_ds, valid_ds = _load_train_valid(args)
-    nu, ny = train_ds.channels
-    # nu and ny default to the data's channel counts; run_grid rejects others
-    base = replace(base, nu=given.get("nu", nu), ny=given.get("ny", ny))
+    configs = load_grid(args.grid, *train_ds.channels)
     journal = os.path.join(args.out, "journal.csv")
-    rows = run_grid(space, train_ds, valid_ds, tc, base=base, jobs=args.jobs,
+    rows = run_grid(configs, train_ds, valid_ds, tc, jobs=args.jobs,
                     journal_path=journal, repetitions=args.repetitions)
     results_path = os.path.join(args.out, "results.csv")
     write_csv(results_path, [f.name for f in fields(GridRow)],

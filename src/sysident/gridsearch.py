@@ -1,5 +1,6 @@
 """Grid-search harness: Cartesian hyperparameter sweeps with journaling,
-deterministic per-configuration seeds and parallel workers.
+deterministic per-configuration seeds and parallel workers. ``load_grid`` is
+the one reader of the grid-file format.
 
 Results are invariant (as a set of rows) to the worker count because each
 configuration trains from a seed derived only from the base seed and its own
@@ -11,7 +12,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from typing import Optional
 
@@ -24,77 +25,45 @@ from .tensor import Rng, derive_seed
 from .training import train
 
 
-@dataclass
-class GridSpace:
-    """Named hyperparameter axes; expansion is their Cartesian product."""
+def grid_expand(axes, base=None):
+    """All combinations of the ``axes`` mapping (ModelConfig field -> non-empty
+    list of values) over ``base``, as ModelConfigs in lexicographic axis order.
 
-    axes: dict
-
-    def __post_init__(self):
-        if not isinstance(self.axes, dict):
-            raise ConfigError(f"grid axes must be a mapping, got {self.axes!r}")
-        for name, values in self.axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ConfigError(f"grid axis '{name}' must be a non-empty list")
-
-    @property
-    def size(self):
-        n = 1
-        for values in self.axes.values():
-            n *= len(values)
-        return n
-
-
-def grid_expand(space, base=None):
-    """All axis combinations as ModelConfigs, in lexicographic axis order.
-
-    An axis that is not a ModelConfig field raises ConfigError.
+    Axes that are not a mapping of non-empty lists, and an axis that names no
+    ModelConfig field, raise ConfigError.
     """
+    if not isinstance(axes, dict):
+        raise ConfigError(f"grid axes must be a mapping, got {axes!r}")
+    for name, values in axes.items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"grid axis '{name}' must be a non-empty list")
     base = (base if base is not None else ModelConfig()).to_dict()
-    names = sorted(space.axes)
+    names = sorted(axes)
     return [ModelConfig.from_dict({**base, **dict(zip(names, combo))})
-            for combo in product(*(space.axes[n] for n in names))]
+            for combo in product(*(axes[n] for n in names))]
 
 
-# Appendix-style sweep definitions for the toy problem and the aircraft
-# benchmark (axis names match ModelConfig fields).
+def load_grid(path, nu, ny):
+    """The expanded ModelConfigs of the grid file at ``path``.
 
-def chen_tcn_space():
-    return GridSpace(axes={
-        "hidden": [16, 32, 64, 128, 256],
-        "dropout": [0.0, 0.3, 0.5, 0.8],
-        "depth": [1, 2, 4, 8],
-        "kernel_size": [2, 4, 8, 16],
-        "dilations": [True, False],
-        "norm": ["batch", "weight", "none"],
-    })
-
-
-def chen_mlp_space():
-    return GridSpace(axes={
-        "hidden": [16, 32, 64, 128, 256],
-        "order": [2, 4, 8, 16, 32, 64, 128],
-        "activation": ["relu", "sigmoid"],
-    })
-
-
-def chen_lstm_space():
-    return GridSpace(axes={
-        "hidden": [16, 32, 64, 128],
-        "depth": [1, 2, 3],
-        "dropout": [0.0, 0.3, 0.5, 0.8],
-    })
-
-
-def f16_tcn_space():
-    return GridSpace(axes={
-        "hidden": [16, 32, 64, 128],
-        "dropout": [0.0, 0.3, 0.5, 0.8],
-        "depth": [1, 2, 4, 8],
-        "kernel_size": [2, 4, 8, 16],
-        "dilations": [True, False],
-        "norm": ["batch", "weight", "none"],
-    })
+    The file is a JSON object with the required ``axes`` and an optional
+    ``base`` configuration; ``nu`` and ``ny`` (the data's channel counts)
+    apply unless ``base`` sets them. Any other key raises ConfigError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise ConfigError(f"grid file {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or "axes" not in doc:
+        raise ConfigError(f"grid file {path} has no 'axes' entry")
+    unknown = sorted(set(doc) - {"axes", "base"})
+    if unknown:
+        raise ConfigError(f"grid file {path} has unknown keys: {unknown}")
+    given = doc.get("base", {})
+    base = ModelConfig.from_dict(given)
+    return grid_expand(doc["axes"], replace(base, nu=given.get("nu", nu),
+                                            ny=given.get("ny", ny)))
 
 
 # the GridRow field that holds each evaluation mode's validation RMSE
@@ -106,6 +75,7 @@ class GridRow:
     index: int
     repetition: int
     config: dict
+    train_config: dict               # the TrainConfig fields, base seed included
     seed: int
     status: str                      # "ok" or "failed"
     rmse_one_step: Optional[float]
@@ -117,36 +87,41 @@ class GridRow:
         # one cell per field, in field order; csv writes floats with repr()
         # and None as an empty cell
         return [self.index, self.repetition, json.dumps(self.config, sort_keys=True),
+                json.dumps(self.train_config, sort_keys=True),
                 self.seed, self.status, self.rmse_one_step, self.rmse_free_run,
                 self.best_epoch, f"{self.wall_clock:.3f}"]
 
     @classmethod
     def from_csv_row(cls, row):
+        if len(row) != len(fields(cls)):
+            raise ValueError(f"a grid row has {len(fields(cls))} cells, "
+                             f"got {len(row)}")
         return cls(index=int(row[0]), repetition=int(row[1]),
-                   config=json.loads(row[2]), seed=int(row[3]), status=row[4],
-                   rmse_one_step=float(row[5]) if row[5] else None,
-                   rmse_free_run=float(row[6]) if row[6] else None,
-                   best_epoch=int(row[7]) if row[7] else None,
-                   wall_clock=float(row[8]))
+                   config=json.loads(row[2]), train_config=json.loads(row[3]),
+                   seed=int(row[4]), status=row[5],
+                   rmse_one_step=float(row[6]) if row[6] else None,
+                   rmse_free_run=float(row[7]) if row[7] else None,
+                   best_epoch=int(row[8]) if row[8] else None,
+                   wall_clock=float(row[9]))
 
 
 def _run_single(payload):
     """Train and score one configuration (runs inside a worker process)."""
     index, repetition, config, seed, train_set, valid_set, train_config = payload
     t0 = time.perf_counter()
+    task = dict(index=index, repetition=repetition, config=config.to_dict(),
+                train_config=asdict(train_config), seed=seed)
     try:
         model = build_model(config, Rng(seed))
         tc = replace(train_config, seed=seed)
         model, history = train(model, train_set, valid_set, tc)
         scores = {field: evaluate(model, valid_set, mode=mode).rmse_mean
                   for mode, field in _METRIC_FIELDS.items()}
-        return GridRow(index=index, repetition=repetition,
-                       config=config.to_dict(), seed=seed, status="ok",
-                       **scores, best_epoch=history.best_epoch,
+        return GridRow(**task, status="ok", **scores,
+                       best_epoch=history.best_epoch,
                        wall_clock=time.perf_counter() - t0)
     except SysidentError:
-        return GridRow(index=index, repetition=repetition,
-                       config=config.to_dict(), seed=seed, status="failed",
+        return GridRow(**task, status="failed",
                        **dict.fromkeys(_METRIC_FIELDS.values()), best_epoch=None,
                        wall_clock=time.perf_counter() - t0)
 
@@ -157,8 +132,9 @@ def _journal_append(path, row):
         csv.writer(fh, lineterminator="\n").writerow(row.to_csv_row())
 
 
-def _task_key(index, repetition, config, seed):
-    return index, repetition, json.dumps(config, sort_keys=True), seed
+def _task_key(index, repetition, config, train_config, seed):
+    return (index, repetition, json.dumps(config, sort_keys=True),
+            json.dumps(train_config, sort_keys=True), seed)
 
 
 def _journal_load(path):
@@ -178,8 +154,8 @@ def _journal_load(path):
         # every append ends in a line terminator, so a torn one lacks it
         torn = lineno == len(lines) and not raw.endswith(b"\n")
         try:
-            fields = next(csv.reader([raw.decode("utf-8")]), None)
-            row = GridRow.from_csv_row(fields) if fields else None
+            cells = next(csv.reader([raw.decode("utf-8")]), None)
+            row = GridRow.from_csv_row(cells) if cells else None
         except (ValueError, IndexError, csv.Error) as exc:
             if lineno < len(lines):
                 raise DataError(f"{path}: malformed journal line {lineno}") from exc
@@ -189,28 +165,29 @@ def _journal_load(path):
                 fh.truncate(kept_bytes)
             break
         if row is not None:
-            rows[_task_key(row.index, row.repetition, row.config, row.seed)] = row
+            rows[_task_key(row.index, row.repetition, row.config,
+                           row.train_config, row.seed)] = row
         kept_bytes += len(raw)
     return rows
 
 
-def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
+def run_grid(configs, train_set, valid_set, train_config, jobs=1,
              journal_path=None, repetitions=1):
-    """Train every configuration of the GridSpace ``space`` over ``base``;
-    returns rows sorted by index.
+    """Train every ModelConfig of ``configs`` (see ``grid_expand`` and
+    ``load_grid``); returns rows sorted by index.
 
     Per-configuration seeds derive from (train_config.seed, index, repetition)
     only, so results do not depend on worker count or on other axes being
     added. With ``journal_path`` completed rows survive interruption and are
     not re-run; a journal row is reused only when its index, repetition,
-    configuration and seed all match the task. ``jobs`` and ``repetitions``
-    below 1, and a configuration whose ``nu`` or ``ny`` differs from the
-    training data's channel counts, raise ConfigError before anything runs.
+    configuration, training settings and seed all match the task. ``jobs``
+    and ``repetitions`` below 1, and a configuration whose ``nu`` or ``ny``
+    differs from the training data's channel counts, raise ConfigError before
+    anything runs.
     """
     for name, value in (("jobs", jobs), ("repetitions", repetitions)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    configs = grid_expand(space, base)
     nu, ny = train_set.channels
     for cfg in configs:
         if (cfg.nu, cfg.ny) != (nu, ny):
@@ -218,11 +195,12 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
                               f"{cfg.nu} inputs / {cfg.ny} outputs but the "
                               f"training data has {nu} / {ny}")
     done = _journal_load(journal_path) if journal_path else {}
+    settings = asdict(train_config)
     reused, tasks = [], []
     for rep in range(repetitions):
         for i, cfg in enumerate(configs):
             seed = derive_seed(train_config.seed, i, rep)
-            row = done.get(_task_key(i, rep, cfg.to_dict(), seed))
+            row = done.get(_task_key(i, rep, cfg.to_dict(), settings, seed))
             if row is not None:
                 reused.append(row)
             else:
@@ -247,19 +225,19 @@ def run_grid(space, train_set, valid_set, train_config, base=None, jobs=1,
 def select_best(rows, metric="one-step"):
     """Configuration with the lowest validation RMSE under the chosen metric.
 
-    Ties break toward fewer parameters, then lexicographic configuration order.
+    Ties break toward fewer parameters, then lexicographic configuration order;
+    only the tied rows' models are counted.
     """
     attr = _METRIC_FIELDS[metric]
     ok = [r for r in rows if r.status == "ok" and getattr(r, attr) is not None]
     if not ok:
         raise DataError("no successful grid rows to select from")
-
-    def key(row):
-        cfg = ModelConfig.from_dict(row.config)
-        return (getattr(row, attr), count_parameters(cfg),
-                json.dumps(row.config, sort_keys=True))
-
-    best = min(ok, key=key)
+    best = min(ok, key=lambda row: getattr(row, attr))
+    tied = [r for r in ok if getattr(r, attr) == getattr(best, attr)]
+    if len(tied) > 1:
+        best = min(tied, key=lambda row: (
+            count_parameters(ModelConfig.from_dict(row.config)),
+            json.dumps(row.config, sort_keys=True)))
     return ModelConfig.from_dict(best.config), getattr(best, attr)
 
 

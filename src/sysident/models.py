@@ -36,9 +36,20 @@ from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
 MODES = ("one-step", "free-run")     # the evaluation modes
-# the Python types each annotated ModelConfig field accepts; bool, although
-# an int subclass, is neither a size nor a rate
+# the Python types each annotated config field accepts; bool, although an
+# int subclass, is neither a size nor a rate
 _ACCEPTED_TYPES = {int: int, bool: bool, float: (int, float), str: str}
+
+
+def check_field_types(config):
+    """Raise ConfigError unless each field of the dataclass ``config`` holds
+    a value its annotated type accepts."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not isinstance(value, _ACCEPTED_TYPES[f.type]) or (
+                f.type is not bool and isinstance(value, bool)):
+            raise ConfigError(f"{f.name} must be of type {f.type.__name__}, "
+                              f"got {value!r}")
 
 
 @dataclass
@@ -59,12 +70,7 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, _ACCEPTED_TYPES[f.type]) or (
-                    f.type is not bool and isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, "
-                                  f"got {value!r}")
+        check_field_types(self)
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family '{self.family}'")
         if self.norm not in NORM_KINDS:

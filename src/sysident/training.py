@@ -16,7 +16,8 @@ import numpy as np
 from .data import write_csv
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      TrainingDiverged)
-from .models import predict_records, shift_right, stack_model_input
+from .models import (check_field_types, predict_records, shift_right,
+                     stack_model_input)
 from .tensor import Rng
 
 
@@ -33,6 +34,7 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.lr < np.inf:    # NaN fails too
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.lr_factor < 1.0:

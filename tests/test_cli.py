@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,18 +458,40 @@ class TestGridsearch:
         ('{"base": {"family": "tcn"}}', "no 'axes'"),
         ('{"axes": {"hidden": [2]', "not JSON"),
         ('{"axes": {"hidden": ["4"]}}', "hidden must be of type int"),
+        ('{"axes": {"hidden": [3]}, "bse": {"family": "lstm"}}',
+         "unknown keys: ['bse']"),
     ], ids=["unknown_base_field", "base_not_a_mapping", "unknown_axis",
             "axis_not_a_list", "axes_not_a_mapping", "missing_axes",
-            "not_json", "axis_value_str"])
+            "not_json", "axis_value_str", "unknown_top_level_key"])
     def test_malformed_grid_file_exit_2(self, tmp_path, capsys, text, message):
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 30, seed=9)
         grid = tmp_path / "grid.json"
         grid.write_text(text)
+        out = tmp_path / "sweep"
         assert run_cli("gridsearch", "--grid", grid, "--data", data,
                        "--val", data, "--epochs", 1, "--seed", 11,
-                       "--out", tmp_path / "sweep") == 2
+                       "--out", out) == 2
         assert message in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_mlp_grid_file_runs_the_mlp_sweep(self, tmp_path, monkeypatch):
+        class Expanded(Exception):
+            pass
+
+        def capture(configs, *args, **kwargs):
+            raise Expanded(configs, kwargs)
+        monkeypatch.setattr(cli, "run_grid", capture)
+        grid = Path(__file__).resolve().parents[1] / "grids" / "chen_mlp.json"
+        data = tmp_path / "train.csv"
+        write_linear_dataset(data, 2, 30, seed=9)
+        with pytest.raises(Expanded) as exc:
+            run_cli("gridsearch", "--grid", grid, "--data", data,
+                    "--val", data, "--out", tmp_path / "sweep")
+        configs, kwargs = exc.value.args
+        assert len(configs) == 70
+        assert {(c.family, c.nu, c.ny) for c in configs} == {("mlp", 1, 1)}
+        assert kwargs["jobs"] == 1      # by keyword, as the benchmark reads it
 
     def _sweep_args(self, tmp_path):
         data = tmp_path / "train.csv"
@@ -537,6 +561,22 @@ class TestGridsearch:
         assert exc.value.code == 2
         assert "unrecognized arguments: --normalize" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--epochs", 3), ("--lr", 0.05)],
+                             ids=["epochs", "lr"])
+    def test_changed_training_flags_rerun_every_config(self, tmp_path, flags):
+        # --epochs 2 first, then the changed flag into the same --out
+        args = (*self._sweep_args(tmp_path), "--val", tmp_path / "train.csv",
+                "--epochs", 2)
+        assert run_cli(*args, "--out", tmp_path / "a") == 0
+        assert run_cli(*args, *flags, "--out", tmp_path / "a") == 0
+        assert run_cli(*args, *flags, "--out", tmp_path / "b") == 0
+
+        def rows(name):
+            with open(tmp_path / name / "results.csv", newline="") as fh:
+                return [row[:-1] for row in csv.reader(fh)]   # no wall_clock
+        assert rows("a") == rows("b")
+        assert len((tmp_path / "a" / "journal.csv").read_text().splitlines()) == 4
 
     def test_corrupt_journal_exit_2(self, tmp_path, capsys):
         data = tmp_path / "train.csv"

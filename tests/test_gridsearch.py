@@ -1,55 +1,60 @@
 import csv
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sysident import (GridRow, GridSpace, ModelConfig, NoiseSpec, Rng,
-                      TrainConfig, chen_lstm_space, chen_mlp_space,
-                      chen_tcn_space, derive_seed, f16_tcn_space, grid_expand,
-                      make_chen_dataset, marginal_quartiles, run_grid,
-                      select_best)
+from sysident import (GridRow, ModelConfig, NoiseSpec, Rng, TrainConfig,
+                      derive_seed, grid_expand, load_grid, make_chen_dataset,
+                      marginal_quartiles, run_grid, select_best)
 from sysident import gridsearch
 from sysident.data import write_csv
 from sysident.errors import ConfigError, DataError
 
+GRIDS = Path(__file__).resolve().parents[1] / "grids"
+
 
 class TestGridExpand:
     def test_product_count(self):
-        space = GridSpace(axes={"hidden": [1, 2], "order": [3, 4, 5]})
-        configs = grid_expand(space, ModelConfig(family="mlp"))
+        configs = grid_expand({"hidden": [1, 2], "order": [3, 4, 5]},
+                              ModelConfig(family="mlp"))
         assert len(configs) == 6
-        assert space.size == 6
+        assert {c.family for c in configs} == {"mlp"}
 
     def test_toy_tcn_space_size(self):
         # 5 hidden x 4 dropout x 4 blocks x 4 kernel x 2 dilation x 3 norm
-        assert chen_tcn_space().size == 1920
-        assert len(grid_expand(chen_tcn_space())) == 1920
+        configs = load_grid(GRIDS / "chen_tcn.json", 1, 1)
+        assert len(configs) == 1920
+        assert {c.family for c in configs} == {"tcn"}
 
     def test_other_canned_spaces(self):
-        assert chen_mlp_space().size == 5 * 7 * 2
-        assert chen_lstm_space().size == 4 * 3 * 4
-        assert f16_tcn_space().size == 4 * 4 * 4 * 4 * 2 * 3
+        for name, nu, ny, size, family in [
+                ("chen_mlp", 1, 1, 5 * 7 * 2, "mlp"),
+                ("chen_lstm", 1, 1, 4 * 3 * 4, "lstm"),
+                ("f16_tcn", 2, 3, 4 * 4 * 4 * 4 * 2 * 3, "tcn")]:
+            configs = load_grid(GRIDS / f"{name}.json", nu, ny)
+            assert len(configs) == size, name
+            assert {(c.family, c.nu, c.ny) for c in configs} == \
+                {(family, nu, ny)}, name
 
     def test_single_value_axes(self):
-        space = GridSpace(axes={"hidden": [8]})
-        assert len(grid_expand(space)) == 1
+        assert len(grid_expand({"hidden": [8]})) == 1
 
     def test_lexicographic_axis_order(self):
-        space = GridSpace(axes={"hidden": [1, 2], "depth": [3, 4]})
-        configs = grid_expand(space)
+        configs = grid_expand({"hidden": [1, 2], "depth": [3, 4]})
         # axes sorted by name: depth varies slowest
         assert [ (c.depth, c.hidden) for c in configs ] == \
             [(3, 1), (3, 2), (4, 1), (4, 2)]
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigError):
-            GridSpace(axes={"hidden": []})
+        with pytest.raises(ConfigError, match="non-empty list"):
+            grid_expand({"hidden": []})
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError, match="hiden"):
-            grid_expand(GridSpace(axes={"hidden": [2], "hiden": [4]}))
+            grid_expand({"hidden": [2], "hiden": [4]})
 
 
 def tiny_datasets():
@@ -67,30 +72,33 @@ def tiny_train_config(seed=5):
 class TestRunGrid:
     def test_two_config_grid(self, tmp_path):
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3, 4]})
+        axes = {"hidden": [3, 4]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
-        rows = run_grid(space, train, valid, tiny_train_config(), base=base)
+        configs = grid_expand(axes, base)
+        rows = run_grid(configs, train, valid, tiny_train_config())
         assert len(rows) == 2
         assert all(r.status == "ok" for r in rows)
         assert all(r.rmse_one_step > 0 for r in rows)
-        again = run_grid(space, train, valid, tiny_train_config(), base=base)
+        again = run_grid(configs, train, valid, tiny_train_config())
         assert [r.rmse_one_step for r in again] == [r.rmse_one_step for r in rows]
 
     def test_journal_resume_skips_completed(self, tmp_path):
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3, 4]})
+        axes = {"hidden": [3, 4]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
+        configs = grid_expand(axes, base)
         journal = tmp_path / "journal.csv"
         sentinel = GridRow(index=0, repetition=0,
-                           config=grid_expand(space, base)[0].to_dict(),
+                           config=configs[0].to_dict(),
+                           train_config=asdict(tiny_train_config()),
                            seed=derive_seed(tiny_train_config().seed, 0, 0),
                            status="ok", rmse_one_step=42.0,
                            rmse_free_run=43.0, best_epoch=0, wall_clock=0.0)
         from sysident.gridsearch import _journal_append
         _journal_append(journal, sentinel)
-        rows = run_grid(space, train, valid, tiny_train_config(), base=base,
+        rows = run_grid(configs, train, valid, tiny_train_config(),
                         journal_path=journal)
         assert len(rows) == 2
         assert rows[0].rmse_one_step == 42.0   # replayed, not retrained
@@ -101,33 +109,34 @@ class TestRunGrid:
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
         journal = tmp_path / "journal.csv"
-        run_grid(GridSpace(axes={"hidden": [2, 3]}), train, valid,
-                 tiny_train_config(), base=base, journal_path=journal)
-        changed = GridSpace(axes={"hidden": [5, 6]})
-        rows = run_grid(changed, train, valid, tiny_train_config(), base=base,
+        run_grid(grid_expand({"hidden": [2, 3]}, base), train, valid,
+                 tiny_train_config(), journal_path=journal)
+        changed = grid_expand({"hidden": [5, 6]}, base)
+        rows = run_grid(changed, train, valid, tiny_train_config(),
                         journal_path=journal)
-        fresh = run_grid(changed, train, valid, tiny_train_config(), base=base)
+        fresh = run_grid(changed, train, valid, tiny_train_config())
         assert [r.config["hidden"] for r in rows] == [5, 6]
         assert [r.rmse_one_step for r in rows] == \
                [r.rmse_one_step for r in fresh]
         # the journal now holds both grids, and a rerun appends nothing
         again = run_grid(changed, train, valid, tiny_train_config(),
-                         base=base, journal_path=journal)
+                         journal_path=journal)
         assert [r.rmse_one_step for r in again] == \
                [r.rmse_one_step for r in rows]
         assert len(journal.read_text().splitlines()) == 4
 
     def test_torn_final_journal_line_reruns_that_config(self, tmp_path):
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3, 4]})
+        axes = {"hidden": [3, 4]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
+        configs = grid_expand(axes, base)
         journal = tmp_path / "journal.csv"
-        rows = run_grid(space, train, valid, tiny_train_config(), base=base,
+        rows = run_grid(configs, train, valid, tiny_train_config(),
                         journal_path=journal)
         text = journal.read_bytes()
         journal.write_bytes(text[:-25])     # a crash cut the last append
-        resumed = run_grid(space, train, valid, tiny_train_config(), base=base,
+        resumed = run_grid(configs, train, valid, tiny_train_config(),
                            journal_path=journal)
         assert [(r.index, r.rmse_one_step) for r in resumed] == \
                [(r.index, r.rmse_one_step) for r in rows]
@@ -139,11 +148,12 @@ class TestRunGrid:
                                                      monkeypatch):
         # journals written before lines ended in a bare newline used CRLF
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3, 4]})
+        axes = {"hidden": [3, 4]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
+        configs = grid_expand(axes, base)
         journal = tmp_path / "journal.csv"
-        rows = run_grid(space, train, valid, tiny_train_config(), base=base,
+        rows = run_grid(configs, train, valid, tiny_train_config(),
                         journal_path=journal)
         crlf = journal.read_bytes().replace(b"\n", b"\r\n")
         journal.write_bytes(crlf)
@@ -151,7 +161,7 @@ class TestRunGrid:
         def refuse_training(*args, **kwargs):
             raise AssertionError("training ran")
         monkeypatch.setattr(gridsearch, "train", refuse_training)
-        resumed = run_grid(space, train, valid, tiny_train_config(), base=base,
+        resumed = run_grid(configs, train, valid, tiny_train_config(),
                            journal_path=journal)
         assert [(r.index, r.seed, r.status, r.rmse_one_step, r.rmse_free_run,
                  r.best_epoch) for r in resumed] == \
@@ -161,25 +171,92 @@ class TestRunGrid:
 
     def test_malformed_earlier_journal_line_rejected(self, tmp_path):
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3, 4]})
+        axes = {"hidden": [3, 4]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
+        configs = grid_expand(axes, base)
         journal = tmp_path / "journal.csv"
-        run_grid(space, train, valid, tiny_train_config(), base=base,
+        run_grid(configs, train, valid, tiny_train_config(),
                  journal_path=journal)
         lines = journal.read_bytes().splitlines(keepends=True)
         journal.write_bytes(lines[0][:-25] + b"\r\n" + lines[1])
         with pytest.raises(DataError, match="line 1"):
-            run_grid(space, train, valid, tiny_train_config(), base=base,
+            run_grid(configs, train, valid, tiny_train_config(),
                      journal_path=journal)
+
+    def test_changed_training_settings_rerun_every_config(self, tmp_path,
+                                                           monkeypatch):
+        train, valid = tiny_datasets()
+        base = ModelConfig(family="tcn", depth=1, kernel_size=2,
+                           activation="tanh")
+        configs = grid_expand({"hidden": [3, 4]}, base)
+        journal = tmp_path / "journal.csv"
+        run_grid(configs, train, valid, tiny_train_config(),
+                 journal_path=journal)
+        trained = []
+        original = gridsearch.train
+
+        def counted(model, train_set, valid_set, config):
+            trained.append(config)
+            return original(model, train_set, valid_set, config)
+        monkeypatch.setattr(gridsearch, "train", counted)
+        for changed in (replace(tiny_train_config(), max_epochs=3),
+                        replace(tiny_train_config(), lr=0.05)):
+            trained.clear()
+            rows = run_grid(configs, train, valid, changed,
+                            journal_path=journal)
+            fresh = run_grid(configs, train, valid, changed)
+            assert len(trained) == 2 * len(configs)
+            assert [(r.rmse_one_step, r.train_config) for r in rows] == \
+                   [(r.rmse_one_step, asdict(changed)) for r in fresh]
+        trained.clear()
+        run_grid(configs, train, valid, changed, journal_path=journal)
+        assert trained == []                # now journaled: replayed
+        assert len(journal.read_text().splitlines()) == 6
+
+    def _old_journal(self, tmp_path, lines):
+        # journal rows written before rows held the training settings
+        configs = grid_expand({"hidden": [3, 4]},
+                              ModelConfig(family="tcn", depth=1, kernel_size=2,
+                                          activation="tanh"))
+        journal = tmp_path / "journal.csv"
+        with journal.open("w", newline="") as fh:
+            for i, cfg in enumerate(configs[:lines]):
+                row = GridRow(index=i, repetition=0, config=cfg.to_dict(),
+                              train_config={},
+                              seed=derive_seed(tiny_train_config().seed, i, 0),
+                              status="ok", rmse_one_step=42.0,
+                              rmse_free_run=43.0, best_epoch=0,
+                              wall_clock=0.0).to_csv_row()
+                del row[3]
+                csv.writer(fh, lineterminator="\n").writerow(row)
+        return configs, journal
+
+    def test_nine_cell_journal_row_rejected(self, tmp_path):
+        train, valid = tiny_datasets()
+        configs, journal = self._old_journal(tmp_path, 2)
+        with pytest.raises(DataError, match="malformed journal line 1"):
+            run_grid(configs, train, valid, tiny_train_config(),
+                     journal_path=journal)
+
+    def test_nine_cell_final_journal_row_reruns(self, tmp_path):
+        train, valid = tiny_datasets()
+        configs, journal = self._old_journal(tmp_path, 1)
+        rows = run_grid(configs, train, valid, tiny_train_config(),
+                        journal_path=journal)
+        assert 42.0 not in [r.rmse_one_step for r in rows]
+        lines = journal.read_text().splitlines()
+        assert len(lines) == 2
+        assert [len(next(csv.reader([line]))) for line in lines] == [10, 10]
 
     def test_parallel_matches_serial(self, tmp_path):
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3, 4], "kernel_size": [2, 3]})
+        axes = {"hidden": [3, 4], "kernel_size": [2, 3]}
         base = ModelConfig(family="tcn", depth=1, activation="tanh")
-        serial = run_grid(space, train, valid, tiny_train_config(), base=base,
+        configs = grid_expand(axes, base)
+        serial = run_grid(configs, train, valid, tiny_train_config(),
                           jobs=1)
-        parallel = run_grid(space, train, valid, tiny_train_config(), base=base,
+        parallel = run_grid(configs, train, valid, tiny_train_config(),
                             jobs=4)
         assert [(r.index, r.seed, r.rmse_one_step, r.rmse_free_run)
                 for r in serial] == \
@@ -190,25 +267,27 @@ class TestRunGrid:
         train, valid = tiny_datasets()
         # dropout close to 1 scales survivors enormously; the huge lr then
         # drives the loss to overflow for the first config only
-        space = GridSpace(axes={"dropout": [0.97, 0.0]})
+        axes = {"dropout": [0.97, 0.0]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2, hidden=4,
                            activation="relu")
+        configs = grid_expand(axes, base)
         tc = TrainConfig(max_epochs=12, batch_size=2, subseq_len=60, seed=2,
                          lr=5.0, optimizer="sgd_momentum")
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rows = run_grid(space, train, valid, tc, base=base)
+            rows = run_grid(configs, train, valid, tc)
         statuses = {r.config["dropout"]: r.status for r in rows}
         assert len(rows) == 2
         assert "failed" in statuses.values()
 
     def test_repetitions(self):
         train, valid = tiny_datasets()
-        space = GridSpace(axes={"hidden": [3]})
+        axes = {"hidden": [3]}
         base = ModelConfig(family="tcn", depth=1, kernel_size=2,
                            activation="tanh")
-        rows = run_grid(space, train, valid, tiny_train_config(), base=base,
+        configs = grid_expand(axes, base)
+        rows = run_grid(configs, train, valid, tiny_train_config(),
                         repetitions=2)
         assert len(rows) == 2
         assert rows[0].seed != rows[1].seed
@@ -224,7 +303,7 @@ class TestRunGrid:
         train, valid = tiny_datasets()
         journal = tmp_path / "journal.csv"
         with pytest.raises(ConfigError, match=message):
-            run_grid(GridSpace(axes={"hidden": [3]}), train, valid,
+            run_grid(grid_expand({"hidden": [3]}), train, valid,
                      tiny_train_config(), journal_path=journal, **kw)
         assert not journal.exists()
 
@@ -241,8 +320,8 @@ class TestRunGrid:
         train, valid = tiny_datasets()
         journal = tmp_path / "journal.csv"
         with pytest.raises(ConfigError, match="training data has 1 / 1"):
-            run_grid(GridSpace(axes=axes), train, valid, tiny_train_config(),
-                     base=ModelConfig(**base), journal_path=journal)
+            run_grid(grid_expand(axes, ModelConfig(**base)), train, valid,
+                     tiny_train_config(), journal_path=journal)
         assert not journal.exists()
 
 
@@ -251,6 +330,7 @@ class TestSelectBest:
         cfg = ModelConfig(family="tcn", hidden=hidden, depth=depth,
                           kernel_size=2)
         return GridRow(index=index, repetition=0, config=cfg.to_dict(),
+                       train_config=asdict(TrainConfig()),
                        seed=0, status="ok", rmse_one_step=rmse,
                        rmse_free_run=rmse + 0.1, best_epoch=0, wall_clock=1.0)
 
@@ -270,6 +350,21 @@ class TestSelectBest:
         big = self._row(1, 0.5, hidden=16)
         config, _ = select_best([big, small])
         assert config.hidden == 2
+
+    def test_parameters_counted_only_for_ties(self, monkeypatch):
+        counted = []
+
+        def counter(config):
+            counted.append(config.hidden)
+            return config.hidden
+        monkeypatch.setattr(gridsearch, "count_parameters", counter)
+        rows = [self._row(i, r, hidden=i + 2)
+                for i, r in enumerate([0.9, 0.2, 0.5, 0.7])]
+        assert select_best(rows)[0].hidden == 3
+        assert counted == []
+        rows += [self._row(4, 0.2, hidden=1), self._row(5, 0.2, hidden=8)]
+        assert select_best(rows)[0].hidden == 1
+        assert sorted(counted) == [1, 3, 8]
 
     def test_metric_selection(self):
         rows = [self._row(0, 0.5), self._row(1, 0.4)]
@@ -292,6 +387,7 @@ class TestMarginalQuartiles:
             hidden = [4, 8][i % 2]
             cfg = ModelConfig(family="tcn", hidden=hidden, kernel_size=2)
             rows.append(GridRow(index=i, repetition=0, config=cfg.to_dict(),
+                                train_config=asdict(TrainConfig()),
                                 seed=0, status="ok",
                                 rmse_one_step=float(rng.random(())),
                                 rmse_free_run=1.0, best_epoch=0, wall_clock=0.0))
@@ -311,10 +407,13 @@ class TestMarginalQuartiles:
 
 def test_results_csv_round_trip(tmp_path):
     cfg = ModelConfig(family="mlp", hidden=4, order=2)
-    rows = [GridRow(index=0, repetition=0, config=cfg.to_dict(), seed=7,
+    settings = asdict(TrainConfig(lr=0.01, seed=3))
+    rows = [GridRow(index=0, repetition=0, config=cfg.to_dict(),
+                    train_config=settings, seed=7,
                     status="ok", rmse_one_step=0.25, rmse_free_run=0.5,
                     best_epoch=3, wall_clock=1.25),
-            GridRow(index=1, repetition=0, config=cfg.to_dict(), seed=8,
+            GridRow(index=1, repetition=0, config=cfg.to_dict(),
+                    train_config=settings, seed=8,
                     status="failed", rmse_one_step=None, rmse_free_run=None,
                     best_epoch=None, wall_clock=0.5)]
     path = tmp_path / "results.csv"
@@ -322,7 +421,8 @@ def test_results_csv_round_trip(tmp_path):
               [row.to_csv_row() for row in rows])
     with open(path, newline="", encoding="utf-8") as fh:
         header, *raw = csv.reader(fh)
-    assert header == ["index", "repetition", "config", "seed", "status",
+    assert header == ["index", "repetition", "config", "train_config",
+                      "seed", "status",
                       "rmse_one_step", "rmse_free_run", "best_epoch",
                       "wall_clock"]
     back = [GridRow.from_csv_row(r) for r in raw]
@@ -331,3 +431,4 @@ def test_results_csv_round_trip(tmp_path):
     assert back[1].status == "failed"
     assert back[1].rmse_one_step is None
     assert back[0].config == cfg.to_dict()
+    assert back[0].train_config == settings

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,21 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ConfigError, match="subsequence length"):
         TrainConfig(subseq_len=1)
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(batch_size=2.5), "batch_size must be of type int, got 2.5"),
+    (dict(seed=1.5), "seed must be of type int, got 1.5"),
+    (dict(max_epochs=2.0), "max_epochs must be of type int, got 2.0"),
+    (dict(subseq_len=20.0), "subseq_len must be of type int, got 20.0"),
+    (dict(lr="0.1"), "lr must be of type float, got '0.1'"),
+    (dict(optimizer=["adam"]), "optimizer must be of type str"),
+    (dict(early_stop_patience=True), "early_stop_patience must be of type int"),
+], ids=["batch_size_float", "seed_float", "max_epochs_float",
+        "subseq_len_float", "lr_str", "optimizer_list", "patience_bool"])
+def test_train_config_field_types(kw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        TrainConfig(**kw)
 
 
 # one training-mode forward and backward per family, at matrix sizes where a
