@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,10 +151,49 @@ def _meta_path(path):
     return os.fspath(path) + ".meta.json"
 
 
+# np.loadtxt over the selected columns is the one cell parser: a cell is
+# what Python's float() reads, without digit-group underscores or non-ASCII
+# digits, with whitespace around it and in optional double quotes
+_CELLS = dict(delimiter=",", comments=None, quotechar='"', ndmin=2,
+              dtype=np.float64)
+
+
+def _parse_rows(lines, cols):
+    """The ``cols`` columns of CSV ``lines`` as a float table, (rows, cols).
+
+    Empty lines are skipped; with no other line the table has zero rows.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, usecols=cols, **_CELLS)
+
+
+def _bad_row_error(path, cols):
+    """The error naming the first body line that the bulk parse rejects or
+    that holds a non-finite value, found by parsing line by line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, line in enumerate(fh, start=reader.line_num + 1):
+            text = line.rstrip("\r\n")
+            try:
+                row = _parse_rows([line], cols)
+            except ValueError:
+                return DataError(f"{path}: malformed row at line {lineno}: "
+                                 f"{text!r}")
+            if not np.isfinite(row).all():
+                return DataError(f"{path}: non-finite value at line {lineno}: "
+                                 f"{text!r}")
+    return DataError(f"{path}: malformed rows")
+
+
 def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
     """Load one dataset file: header row naming channels, one sample per row.
 
     Column names default to the ``u*``/``y*`` prefixes found in the header.
+    The body is parsed in one ``np.loadtxt`` pass (see ``_CELLS`` for the
+    cells it accepts); empty lines are skipped, and a row that does not
+    parse or holds a non-finite value raises a DataError naming its line.
     A sidecar ``<file>.meta.json`` may declare ``sample_rate`` (Hz, a
     finite number > 0) and ``segments`` ([start, stop) pairs splitting the
     file into records).
@@ -186,27 +226,19 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
                                   f"for {path}")
         if not u_cols or not y_cols:
             raise SchemaError(f"no input/output columns declared for {path}")
-        u_idx = [header.index(c) for c in u_cols]
-        y_idx = [header.index(c) for c in y_cols]
-        u_rows, y_rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                u_vals = [float(row[i]) for i in u_idx]
-                y_vals = [float(row[i]) for i in y_idx]
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: malformed row at line {lineno}: "
-                                f"{row}") from exc
-            if not all(map(math.isfinite, u_vals + y_vals)):
-                raise DataError(f"{path}: non-finite value at line {lineno}: "
-                                f"{row}")
-            u_rows.append(u_vals)
-            y_rows.append(y_vals)
-    if not u_rows:
+        cols = [header.index(c) for c in selected]
+        try:
+            table = _parse_rows(fh, cols)
+        except ValueError:
+            table = None
+    if table is None or not np.isfinite(table).all():
+        raise _bad_row_error(path, cols)
+    if not table.shape[0]:
         raise SchemaError(f"dataset file has no data rows: {path}")
-    u = np.asarray(u_rows).T
-    y = np.asarray(y_rows).T
+    # (n, T) views of C-order (T, n) blocks, the layout of every record
+    nu = len(u_cols)
+    u = table[:, :nu].copy().T
+    y = table[:, nu:].copy().T
     sample_rate = None
     segments = None
     meta_path = _meta_path(path)

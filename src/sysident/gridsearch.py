@@ -9,6 +9,7 @@ index, never from scheduling order.
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import evaluate
-from .errors import ConfigError, DataError, SysidentError
+from .errors import ConfigError, DataError, NumericError, SysidentError
 from .models import MODES, ModelConfig, build_model, count_parameters
 from .tensor import Rng, derive_seed
 from .training import train
@@ -117,6 +118,8 @@ def _run_single(payload):
         model, history = train(model, train_set, valid_set, tc)
         scores = {field: evaluate(model, valid_set, mode=mode).rmse_mean
                   for mode, field in _METRIC_FIELDS.items()}
+        if not all(map(math.isfinite, scores.values())):
+            raise NumericError(f"non-finite validation RMSE: {scores}")
         return GridRow(**task, status="ok", **scores,
                        best_epoch=history.best_epoch,
                        wall_clock=time.perf_counter() - t0)
@@ -222,14 +225,21 @@ def run_grid(configs, train_set, valid_set, train_config, jobs=1,
     return rows
 
 
+def _scored(rows, attr):
+    # a NaN would compare false both ways, so only finite scores are ranked
+    return [r for r in rows if r.status == "ok" and getattr(r, attr) is not None
+            and math.isfinite(getattr(r, attr))]
+
+
 def select_best(rows, metric="one-step"):
-    """Configuration with the lowest validation RMSE under the chosen metric.
+    """Configuration with the lowest finite validation RMSE under the chosen
+    metric, among the ``ok`` rows.
 
     Ties break toward fewer parameters, then lexicographic configuration order;
     only the tied rows' models are counted.
     """
     attr = _METRIC_FIELDS[metric]
-    ok = [r for r in rows if r.status == "ok" and getattr(r, attr) is not None]
+    ok = _scored(rows, attr)
     if not ok:
         raise DataError("no successful grid rows to select from")
     best = min(ok, key=lambda row: getattr(row, attr))
@@ -243,12 +253,11 @@ def select_best(rows, metric="one-step"):
 
 def marginal_quartiles(rows, axis, metric="one-step"):
     """Box-plot aggregation: quartiles of the metric per value of one axis,
-    marginalizing over every other hyperparameter."""
+    marginalizing over every other hyperparameter; only ``ok`` rows with a
+    finite metric count."""
     attr = _METRIC_FIELDS[metric]
     groups = {}
-    for row in rows:
-        if row.status != "ok" or getattr(row, attr) is None:
-            continue
+    for row in _scored(rows, attr):
         groups.setdefault(row.config[axis], []).append(getattr(row, attr))
     out = {}
     for value, metrics in groups.items():

@@ -10,7 +10,9 @@ tap slices in one ``np.einsum`` call (default, non-optimized kernels) whose
 inner loop is a stride-1 output axis, so each output is summed over (tap,
 channel) in order: time in ``forward`` (one column is contracted as the first
 of two), output channels in the streaming ``step`` (one channel gets a zero
-second one). So full-sequence and streaming evaluation agree bit for bit.
+second one). ``forward`` adds the bias after its einsum; ``step`` makes the
+bias its einsum's last term, 1.0 * b, which is the same last addition. So
+full-sequence and streaming evaluation agree bit for bit.
 Its backward pass keeps one contraction per tap. The input gradient uses
 ``np.matmul``, which reduces over the output channels only. The weight
 gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
@@ -251,24 +253,31 @@ class CausalConv1d(Layer):
     def begin_stream(self, batch_size):
         """Zero history for ``batch_size`` records: a ring buffer of the last
         RF input columns, (B, RF, C), and a (RF, K) table of the slots taps
-        0..K-1 read when the newest column is in slot p. The kernel is frozen
-        as a C-order (K*C, O) matrix, with a zero second column when O == 1 so
-        that the output channels stay the einsum's inner loop."""
+        0..K-1 read when the newest column is in slot p. The kernel and the
+        bias are frozen as a C-order (K*C+1, O) matrix whose last row is the
+        bias, read against a constant 1.0 at the end of a flat (B, K*C+1)
+        gather; a zero second column when O == 1 keeps the output channels
+        the einsum's inner loop."""
         rf = self.receptive_field
-        w_cols = np.zeros((self.kernel_size * self.in_channels,
-                           max(self.out_channels, 2)))
-        w_cols[:, :self.out_channels] = self.effective_weight().transpose(
+        m = self.kernel_size * self.in_channels
+        w_cols = np.zeros((m + 1, max(self.out_channels, 2)))
+        w_cols[:m, :self.out_channels] = self.effective_weight().transpose(
             2, 1, 0).reshape(-1, self.out_channels)
+        w_cols[m, :self.out_channels] = self.params["b"]
         self._w_cols = w_cols
         self._ring = np.zeros((batch_size, rf, self.in_channels))
         self._pos = 0
         taps = self.dilation * np.arange(self.kernel_size)
         self._slots = (np.arange(rf)[:, None] - taps) % rf
-        self._gather = np.empty((batch_size, self.kernel_size, self.in_channels))
+        self._flat = np.ones((batch_size, m + 1))
+        self._gather = self._flat[:, :m].reshape(
+            batch_size, self.kernel_size, self.in_channels)
 
     def step(self, col):
         """One (B, O, 1) output column per (B, C, 1) input column: one
-        ``take`` gathers the K taps from the ring, one einsum contracts them."""
+        ``take`` gathers the K taps from the ring, one einsum contracts them
+        and adds the bias as its last term, 1.0 * b, so the sum is the
+        ``forward`` sum followed by ``+= b``."""
         ring = self._ring
         if ring is None:
             raise ParameterError("step called before begin_stream")
@@ -278,13 +287,11 @@ class CausalConv1d(Layer):
                 f"got {col.shape}")
         self._pos = pos = (self._pos + 1) % ring.shape[1]
         ring[:, pos] = col[:, :, 0]
-        gather = self._gather
-        # the slots are in range; "clip" lets take write into out unbuffered
-        ring.take(self._slots[pos], axis=1, out=gather, mode="clip")
-        out = np.einsum("mo,bm->bo", self._w_cols,
-                        gather.reshape(ring.shape[0], -1))[:, :self.out_channels]
-        out += self.params["b"]
-        return out[:, :, None]
+        # the slots are in range; unlike "raise", "clip" makes take write
+        # into a contiguous out (the whole gather when B == 1) unbuffered
+        ring.take(self._slots[pos], axis=1, out=self._gather, mode="clip")
+        out = np.einsum("mo,bm->bo", self._w_cols, self._flat)
+        return out[:, :self.out_channels, None]
 
 
 def _sigmoid(x):
@@ -357,6 +364,9 @@ class Dropout(Layer):
         if self.mask is None:
             return grad
         return grad * self.mask
+
+    def step(self, col):
+        return col    # streaming is evaluation only: the identity
 
 
 class BatchNorm(Layer):

@@ -11,8 +11,9 @@ history at the start), so its output aligns index-for-index with y.
 with the model's own past predictions, evaluating one time step at a time for
 a whole batch of records; each layer keeps only the state that step needs.
 ``layers.CausalConv1d`` alone owns the einsum layout rules that keep its
-streaming step bitwise equal to ``forward``; the streamed columns are plain
-C-order arrays.
+streaming step bitwise equal to ``forward``, the bias included: it is the
+step einsum's last term, where ``forward`` adds it after its einsum. The
+streamed columns are plain C-order arrays.
 
 All three families are one ``SequenceNet``: a chain of stages (TCN residual
 blocks, MLP dense layers or stacked ``LstmLayer``s) and a 1x1 output map.

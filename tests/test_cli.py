@@ -113,6 +113,15 @@ class TestTrain:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_cell_loadtxt_rejects_exit_2(self, tmp_path, capsys, monkeypatch):
+        # float() reads 1_000; the one cell parser, np.loadtxt, does not
+        monkeypatch.setattr(cli, "train", refuse_training)
+        data = tmp_path / "train.csv"
+        data.write_text("u1,y1\n1.0,2.0\n1_000,3.0\n")
+        assert run_cli("train", "--data", data, "--seed", 6,
+                       "--out", tmp_path / "run") == 2
+        assert "malformed row at line 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags,message", [
         (("--epochs", 0), "max epochs"),
         (("--subseq-len", 0), "subsequence length"),

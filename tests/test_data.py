@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,25 @@ from sysident.errors import (DataError, NumericError, ParameterError,
                              SchemaError)
 
 NO_NOISE = NoiseSpec(0.0, 0.0)
+
+# cells float() and the bulk parser both read: spaces, quotes, signed zero,
+# a subnormal, explicit plus, bare dots; CRLF and LF lines, blank lines, an
+# unselected column holding text, and a header out of the selection's order
+AWKWARD_CSV = ('"y1", u2 ,note,u1\r\n'
+               ' 1.5 ,"-0.0",x,+1.5\r\n'
+               '\r\n'
+               '1e-320,1.,"a,b",.5\r\n'
+               '\n'
+               '"  2.25 ",-1e-5, ,7\n')
+
+
+def float_rows(path, cols):
+    """Reference parser: the selected cells of each non-empty row by float()."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        idx = [header.index(c) for c in cols]
+        return np.array([[float(row[i]) for i in idx] for row in reader if row])
 
 
 class TestSimulateChen:
@@ -148,6 +169,54 @@ class TestCsvRoundTrip:
         path.write_text(f"u1,y1\n1.0,2.0\n1.0,{value}\n")
         with pytest.raises(DataError, match="non-finite value at line 3"):
             load_csv_dataset(path)
+
+    @pytest.mark.parametrize("cols", [
+        dict(u_cols=["u1", "u2"], y_cols=["y1"]),
+        dict(u_cols=["u2", "u1"], y_cols=["y1"]),
+    ], ids=["u1_first", "u2_first"])
+    def test_bulk_parse_equals_float_per_row_on_awkward_cells(self, tmp_path,
+                                                               cols):
+        path = tmp_path / "awkward.csv"
+        path.write_bytes(AWKWARD_CSV.encode())
+        rec = load_csv_dataset(path, **cols).records[0]
+        ref = float_rows(path, cols["u_cols"] + cols["y_cols"])
+        assert rec.u.tobytes() == ref[:, :2].T.tobytes()
+        assert rec.y.tobytes() == ref[:, 2:].T.tobytes()
+        assert np.signbit(rec.u[cols["u_cols"].index("u2"), 0])   # -0.0 kept
+        assert rec.u.strides == ref[:, :2].copy().T.strides
+
+    def test_bulk_parse_equals_float_per_row_on_written_dataset(self,
+                                                                tmp_path):
+        # save_csv_dataset adds the unselected ystar1 column
+        path = tmp_path / "chen.csv"
+        save_csv_dataset(make_chen_dataset(1, 500, NoiseSpec(0.3, 0.3), 8), path)
+        rec = load_csv_dataset(path).records[0]
+        ref = float_rows(path, ["u1", "y1"])
+        assert rec.u.tobytes() == ref[:, :1].T.tobytes()
+        assert rec.y.tobytes() == ref[:, 1:].T.tobytes()
+
+    @pytest.mark.parametrize("cell,message", [
+        ("oops", "malformed row at line 5"),
+        ("1_000", "malformed row at line 5"),   # float() reads it, loadtxt not
+        ("", "malformed row at line 5"),
+        ("nan", "non-finite value at line 5"),
+        ("1e999", "non-finite value at line 5"),
+    ])
+    def test_error_line_counts_blank_lines(self, tmp_path, cell, message):
+        path = tmp_path / "gaps.csv"
+        path.write_text(f"u1,y1\n1.0,2.0\n\n\r\n1.0,{cell}\n3.0,4.0\n")
+        with pytest.raises(DataError, match=message):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("text", ["u1,y1\n", "u1,y1", "u1,y1\n\n\r\n"],
+                             ids=["header_line", "no_newline", "blank_lines"])
+    def test_no_data_rows_schema_error_without_warning(self, tmp_path, text):
+        path = tmp_path / "header_only.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="no data rows"):
+                load_csv_dataset(path)
 
     def test_missing_column_schema_error(self, tmp_path):
         path = tmp_path / "cols.csv"

@@ -281,6 +281,25 @@ class TestRunGrid:
         assert len(rows) == 2
         assert "failed" in statuses.values()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_validation_rmse_recorded_failed(self, monkeypatch,
+                                                        bad):
+        # an overflowing free-run can leave a trained model with such a score
+        real = gridsearch.evaluate
+
+        def free_run_blows_up(model, dataset, mode):
+            report = real(model, dataset, mode=mode)
+            if mode == "free-run":
+                report.rmse_mean = bad
+            return report
+        monkeypatch.setattr(gridsearch, "evaluate", free_run_blows_up)
+        train, valid = tiny_datasets()
+        configs = grid_expand({"hidden": [3]}, ModelConfig(
+            family="tcn", depth=1, kernel_size=2, activation="tanh"))
+        row, = run_grid(configs, train, valid, tiny_train_config())
+        assert row.status == "failed"
+        assert row.rmse_one_step is None and row.rmse_free_run is None
+
     def test_repetitions(self):
         train, valid = tiny_datasets()
         axes = {"hidden": [3]}
@@ -372,6 +391,17 @@ class TestSelectBest:
         _, score = select_best(rows, metric="free-run")
         assert score == 0.1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rows_skipped_in_either_order(self, bad):
+        rows = [self._row(0, bad, hidden=2), self._row(1, 0.2, hidden=3)]
+        for order in (rows, rows[::-1]):
+            config, score = select_best(order)
+            assert (config.hidden, score) == (3, 0.2)
+
+    def test_only_non_finite_rows(self):
+        with pytest.raises(DataError):
+            select_best([self._row(0, float("nan"))])
+
     def test_all_failed(self):
         row = self._row(0, 0.5)
         row.status = "failed"
@@ -403,6 +433,23 @@ class TestMarginalQuartiles:
                 frac = h - np.floor(h)
                 ref = vals[lo] + frac * (vals[lo + 1] - vals[lo])
                 assert abs(got - ref) < 1e-12
+
+
+    def test_non_finite_rows_left_out_in_either_order(self):
+        rows = []
+        for i, (hidden, rmse) in enumerate([(4, float("nan")), (4, 0.3),
+                                            (4, 0.1), (8, float("inf")),
+                                            (8, 0.2), (8, 0.4)]):
+            cfg = ModelConfig(family="tcn", hidden=hidden, kernel_size=2)
+            rows.append(GridRow(index=i, repetition=0, config=cfg.to_dict(),
+                                train_config=asdict(TrainConfig()),
+                                seed=0, status="ok", rmse_one_step=rmse,
+                                rmse_free_run=1.0, best_epoch=0, wall_clock=0.0))
+        finite = marginal_quartiles([r for r in rows
+                                     if np.isfinite(r.rmse_one_step)], "hidden")
+        for order in (rows, rows[::-1]):
+            assert marginal_quartiles(order, "hidden") == finite
+        assert all(np.isfinite(q).all() for q in finite.values())
 
 
 def test_results_csv_round_trip(tmp_path):

@@ -185,6 +185,21 @@ class TestCausalConv:
             conv.step(x[:, :, t:t + 1])
         assert len(calls) == 7
 
+    @pytest.mark.parametrize("name", ["W", "b"])
+    def test_parameters_frozen_at_begin_stream(self, name):
+        conv = CausalConv1d(2, 3, 2, 1, Rng(12))
+        conv.params["b"][...] = Rng(13).gaussian(3)
+        x = Rng(14).gaussian((2, 2, 6))
+        before = conv.forward(x)
+        conv.begin_stream(2)
+        cols = [conv.step(x[:, :, :1])]
+        conv.params[name] += 1.0
+        cols += [conv.step(x[:, :, t:t + 1]) for t in range(1, 6)]
+        assert np.concatenate(cols, axis=2).tobytes() == before.tobytes()
+        after = conv.forward(x)
+        assert not np.array_equal(after, before)
+        assert self._stream(conv, x).tobytes() == after.tobytes()
+
     def test_step_needs_begin_stream(self):
         conv = CausalConv1d(2, 3, 2, 1, Rng(0))
         with pytest.raises(ParameterError, match="before begin_stream"):
@@ -289,6 +304,7 @@ class TestDropout:
         x = Rng(1).gaussian((3, 4))
         out = drop.forward(x, training=False)
         assert out is x
+        assert drop.step(x) is x
 
     def test_training_expectation_matches_input(self):
         drop = Dropout(0.5, Rng(2))

@@ -219,6 +219,9 @@ class TestFreeRun:
                      activation="tanh")),
         ("mlp", dict(hidden=6, depth=2, order=4, activation="sigmoid")),
         ("lstm", dict(hidden=5, depth=2)),
+        # streamed dropout is the identity of the evaluation-mode forward
+        ("tcn", dict(hidden=5, depth=2, kernel_size=3, dilations=True,
+                     norm="batch", dropout=0.3, activation="relu")),
     ])
     def test_streaming_equals_sliding_window_bitwise(self, family, kw):
         cfg = ModelConfig(family=family, **kw)

@@ -13,6 +13,10 @@ batch has 4 rows), whose matrix sizes the small cases do not reach. The
 ``volterra.tcn_fir`` case digests the Volterra kernels (h0, h1, h2) of a
 seeded FIR tanh TCN (dilated, batch norm, dropout) trained like the model
 cases. The
+``data.load_csv`` case digests the records ``load_csv_dataset`` reads from a
+dataset file written by ``save_csv_dataset`` and from a hand-written file of
+awkward cells (spaces, quotes, signed zero, a subnormal, CRLF and blank
+lines, an unselected text column, columns selected out of header order). The
 ``perfbench.*`` cases digest batched free-run of the committed benchmark
 models, their one-record (B = 1) free-run of a 400-sample record (over
 four times the TCN's receptive field of 91, so every ring buffer wraps),
@@ -46,8 +50,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
                       build_model, evaluate, extract_volterra_kernels,
-                      free_run_naive, load_checkpoint, make_chen_dataset, predict_one_step,
-                      save_checkpoint, simulate_free_run, train)
+                      free_run_naive, load_checkpoint, load_csv_dataset,
+                      make_chen_dataset, predict_one_step, save_checkpoint,
+                      save_csv_dataset, simulate_free_run, train)
 from sysident.cli import main as cli_main  # noqa: E402
 
 MODEL_CASES = {
@@ -147,6 +152,28 @@ MASKS = {
 }
 
 
+AWKWARD_CSV = ('"y1", u2 ,note,u1\r\n'
+               ' 1.5 ,"-0.0",x,+1.5\r\n'
+               '\r\n'
+               '1e-320,1.,"a,b",.5\r\n'
+               '\n'
+               '"  2.25 ",-1e-5, ,7\n')
+
+
+def load_csv_digest(dataset, tmp):
+    """Every record ``load_csv_dataset`` reads back from ``dataset`` written
+    by ``save_csv_dataset``, then from the awkward-cell file."""
+    written = os.path.join(tmp, "written.csv")
+    save_csv_dataset(dataset, written)
+    awkward = os.path.join(tmp, "awkward.csv")
+    with open(awkward, "wb") as fh:
+        fh.write(AWKWARD_CSV.encode())
+    records = (load_csv_dataset(written).records
+               + load_csv_dataset(awkward, u_cols=["u1", "u2"],
+                                  y_cols=["y1"]).records)
+    return digest(*[a for r in records for a in (r.u, r.y)])
+
+
 def cli_digests():
     """Exit code and masked output-file digests of each seeded CLI run."""
     out = {}
@@ -181,6 +208,8 @@ def main():
     kernels = extract_volterra_kernels(
         train_case(VOLTERRA_TCN, train_set, valid_set)[0])
     print(f"volterra.tcn_fir {digest(kernels.h0, kernels.h1, kernels.h2)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"data.load_csv {load_csv_digest(valid_set, tmp)}")
     bench_noise = NoiseSpec(0.3, 0.3)
     model = build_model(ModelConfig(**BENCH_TCN), Rng(13))
     model, history = train(model, make_chen_dataset(20, 100, bench_noise, seed=4),
