@@ -170,21 +170,29 @@ def _parse_rows(lines, cols):
 
 def _bad_row_error(path, cols):
     """The error naming the first body line that the bulk parse rejects or
-    that holds a non-finite value, found by parsing line by line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, line in enumerate(fh, start=reader.line_num + 1):
-            text = line.rstrip("\r\n")
-            try:
-                row = _parse_rows([line], cols)
-            except ValueError:
-                return DataError(f"{path}: malformed row at line {lineno}: "
-                                 f"{text!r}")
-            if not np.isfinite(row).all():
-                return DataError(f"{path}: non-finite value at line {lineno}: "
-                                 f"{text!r}")
+    that holds a non-finite value, found by parsing line by line, or the
+    error saying the file is not UTF-8 text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for lineno, line in enumerate(fh, start=reader.line_num + 1):
+                text = line.rstrip("\r\n")
+                try:
+                    row = _parse_rows([line], cols)
+                except ValueError:
+                    return DataError(f"{path}: malformed row at line {lineno}: "
+                                     f"{text!r}")
+                if not np.isfinite(row).all():
+                    return DataError(f"{path}: non-finite value at line "
+                                     f"{lineno}: {text!r}")
+    except UnicodeDecodeError as exc:
+        return _not_text_error(path, exc)
     return DataError(f"{path}: malformed rows")
+
+
+def _not_text_error(path, exc):
+    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
@@ -193,7 +201,8 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
     Column names default to the ``u*``/``y*`` prefixes found in the header.
     The body is parsed in one ``np.loadtxt`` pass (see ``_CELLS`` for the
     cells it accepts); empty lines are skipped, and a row that does not
-    parse or holds a non-finite value raises a DataError naming its line.
+    parse or holds a non-finite value raises a DataError naming its line,
+    and a file that is not UTF-8 text one naming the file.
     A sidecar ``<file>.meta.json`` may declare ``sample_rate`` (Hz, a
     finite number > 0) and ``segments`` ([start, stop) pairs splitting the
     file into records).
@@ -207,6 +216,8 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"empty dataset file: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_text_error(path, exc) from None
         header = [h.strip() for h in header]
         if u_cols is None:
             u_cols = [h for h in header if h.startswith("u")]

@@ -6,18 +6,21 @@ parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
 The causal convolution contracts a flattened (tap, channel) axis of gathered
-tap slices in one ``np.einsum`` call (default, non-optimized kernels) whose
-inner loop is a stride-1 output axis, so each output is summed over (tap,
-channel) in order: time in ``forward`` (one column is contracted as the first
-of two), output channels in the streaming ``step`` (one channel gets a zero
-second one). ``forward`` adds the bias after its einsum; ``step`` makes the
-bias its einsum's last term, 1.0 * b, which is the same last addition. So
-full-sequence and streaming evaluation agree bit for bit.
+tap slices with ``np.einsum`` (default, non-optimized kernels) whose inner
+loop is a stride-1 output axis, so each output is summed over (tap, channel)
+in order: time in ``forward`` (one column is contracted as the first of two;
+a long record chunk by chunk through one reused gather, each chunk at least
+two columns wide), output channels in the streaming ``step`` (one channel
+gets a zero second one). ``forward`` adds the bias after its einsums; ``step``
+makes the bias its einsum's last term, 1.0 * b, which is the same last
+addition. So full-sequence and streaming evaluation agree bit for bit.
 Its backward pass keeps one contraction per tap. The input gradient uses
 ``np.matmul``, which reduces over the output channels only. The weight
-gradient stays on ``np.einsum``: it reduces over batch and time, and a BLAS
-GEMM changes that summation order with its thread count, so trained weights
-would no longer depend on the seed alone.
+gradient reduces over batch and time as a sum of BLAS GEMMs, one per record
+and time chunk of at most ``_GRAD_CHUNK`` samples: each chunk's per-record
+products are added over records in order, and the chunks in time order. A
+GEMM whose reduction is shorter than one of its blocks sums it in the same
+order at any thread count, so trained weights depend on the seeds alone.
 """
 
 import math
@@ -28,6 +31,11 @@ from .errors import DataError, DimensionError, ParameterError
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 NORM_KINDS = ("batch", "weight", "none")
+# columns per contraction of the conv forward's reused (tap, channel) gather
+_FORWARD_CHUNK = 1024
+# time samples per weight-gradient GEMM: within one BLAS reduction block, so
+# the GEMM sums in the same order at any thread count
+_GRAD_CHUNK = 128
 
 
 def _init_weight(rng, shape, fan_in, fan_out, init):
@@ -212,16 +220,24 @@ class CausalConv1d(Layer):
             xpad = x
         w = self.effective_weight()
         self._cache = (xpad, w, t_len)
-        if self.kernel_size > 1:
-            # tap i's slice fills rows i*C to (i+1)*C of a (B, K*C, T) gather
-            gather = np.empty((b_sz, self.kernel_size * self.in_channels, t_len))
-            c = self.in_channels
-            for i in range(self.kernel_size):
-                start = pad - i * self.dilation
-                gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + t_len]
-            xpad = gather
         w_flat = w.transpose(0, 2, 1).reshape(self.out_channels, -1)
-        out = np.einsum("om,bmt->bot", w_flat, xpad)
+        out = np.empty((b_sz, self.out_channels, t_len))
+        if self.kernel_size == 1:
+            np.einsum("om,bmt->bot", w_flat, x, out=out)
+        else:
+            # near-equal chunks of at most _FORWARD_CHUNK columns, each >= 2
+            # wide, so time stays the einsum's inner loop
+            n_chunks = -(-t_len // _FORWARD_CHUNK)
+            bounds = [t_len * j // n_chunks for j in range(n_chunks + 1)]
+            c = self.in_channels
+            buf = np.empty((b_sz, self.kernel_size * c, -(-t_len // n_chunks)))
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                # tap i's slice fills rows i*C to (i+1)*C of the gather
+                gather = buf[:, :, :e - s]
+                for i in range(self.kernel_size):
+                    start = pad - i * self.dilation + s
+                    gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + e - s]
+                np.einsum("om,bmt->bot", w_flat, gather, out=out[:, :, s:e])
         out += self.params["b"][None, :, None]
         return out
 
@@ -239,7 +255,12 @@ class CausalConv1d(Layer):
         for i in range(self.kernel_size):
             start = pad - i * self.dilation
             xi = xpad[:, :, start:start + t_len]
-            d_w[:, :, i] = np.einsum("bot,bct->oc", grad, xi)
+            d_wi = d_w[:, :, i]
+            for s in range(0, t_len, _GRAD_CHUNK):
+                e = s + _GRAD_CHUNK
+                per_record = np.matmul(grad[:, :, s:e],
+                                       xi[:, :, s:e].transpose(0, 2, 1))
+                d_wi += np.add.reduce(per_record, axis=0)
             d_xpad[:, :, start:start + t_len] += np.matmul(w[:, :, i].T, grad)
         self.grads["b"] += grad.sum(axis=(0, 2))
         if self.weight_norm:

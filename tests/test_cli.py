@@ -283,6 +283,22 @@ class TestEval:
         assert ("the checkpoint has 1 inputs / 1 outputs but the test data "
                 "has 2 / 1") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"u1,y1\xff\n1.0,2.0\n3.0,4.0\n",
+        # far enough into the file that the header decodes without it
+        b"u1,y1\n" + b"1.25,2.5\n" * 2000 + b"3.0,4.0\xff\n",
+    ], ids=["header", "body"])
+    def test_non_utf8_dataset_exit_2(self, tmp_path, capsys, content):
+        ckpt, _ = self._oracle_setup(tmp_path)
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        out = tmp_path / "o"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: not UTF-8 text" in err and "Traceback" not in err
+        assert not list(out.iterdir())
+
     def test_mismatched_checkpoint_state_exit_2(self, tmp_path, capsys):
         _, data = self._oracle_setup(tmp_path)
         model = build_model(ModelConfig(family="tcn", hidden=3, norm="batch"),

@@ -82,9 +82,20 @@ class TestCausalConv:
         x = Rng(5).gaussian((2, 2, 8))
         assert check_model_gradients(conv, x) < GRAD_TOL
 
+    @pytest.mark.parametrize("kernel,dilation,weight_norm,t_len", [
+        (3, 4, False, 300), (3, 4, True, 300), (1, 1, False, 300),
+        (3, 4, True, 1), (1, 1, False, 1)])
+    def test_backward_matches_finite_differences_across_time_chunks(
+            self, kernel, dilation, weight_norm, t_len):
+        # 300 samples reduce the weight gradient over chunks of 128 + 128 + 44
+        conv = CausalConv1d(2, 3, kernel, dilation, Rng(4),
+                            weight_norm=weight_norm)
+        x = Rng(5).gaussian((2, 2, t_len))
+        assert check_model_gradients(conv, x) < GRAD_TOL
+
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("kernel,dilation", [(1, 1), (1, 3), (3, 1), (3, 3)])
-    @pytest.mark.parametrize("t_len", [1, 2, 9])
+    @pytest.mark.parametrize("t_len", [1, 2, 9, 300])
     def test_backward_is_exact_adjoint(self, batch, kernel, dilation, t_len):
         # out - b is bilinear in (W, x), so <g, out - b> = <x, dx> = <W, dW>
         # up to rounding, judged against the sum of |g| |W| |x| and |g| |b|
@@ -121,6 +132,31 @@ class TestCausalConv:
             x = rng.gaussian((batch, 24, 1))
             two = conv.forward(np.concatenate([x, np.zeros_like(x)], axis=2))
             assert conv.forward(x).tobytes() == two[:, :, :1].tobytes()
+
+    def test_chunked_forward_bytes_equal_one_einsum(self, monkeypatch):
+        # 3 000 columns are contracted as three chunks of 1 000, and the
+        # first 24 outputs of each later chunk read taps of the one before
+        rng = Rng(15)
+        conv = CausalConv1d(6, 4, 4, 8, rng)
+        w, b = conv.params["W"], conv.params["b"]
+        b[...] = rng.gaussian(4)
+        x = rng.gaussian((2, 6, 3000))
+        xpad = np.concatenate([np.zeros((2, 6, 24)), x], axis=2)
+        gather = np.concatenate([xpad[:, :, 24 - 8 * i:3024 - 8 * i]
+                                 for i in range(4)], axis=1)
+        oracle = np.einsum("om,bmt->bot",
+                           w.transpose(0, 2, 1).reshape(4, -1), gather)
+        oracle += b[None, :, None]
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        assert conv.forward(x).tobytes() == oracle.tobytes()
+        assert len(calls) == 3
 
     def test_output_length_equals_input_length(self):
         conv = CausalConv1d(1, 4, 5, 3, Rng(0))

@@ -384,19 +384,21 @@ _THREADED_GRADS = """
 import hashlib
 from sysident import ModelConfig, Rng, build_model
 
-for seed, kw in enumerate((
-        dict(family="tcn", hidden=64, depth=3, kernel_size=3, dilations=True),
-        dict(family="mlp", hidden=64, order=16, depth=2),
-        dict(family="lstm", hidden=64, depth=2))):
+TCN = dict(family="tcn", hidden=64, depth=3, kernel_size=3, dilations=True)
+MLP = dict(family="mlp", hidden=64, order=16, depth=2)
+# the 1 000-sample windows reduce each weight gradient over many time chunks
+for seed, (kw, t_len) in enumerate((
+        (TCN, 100), (MLP, 100), (dict(family="lstm", hidden=64, depth=2), 100),
+        (TCN, 1000), (MLP, 1000))):
     model = build_model(ModelConfig(**kw), Rng(seed))
-    x = Rng(seed + 10).gaussian((4, model.config.in_channels, 100))
+    x = Rng(seed + 10).gaussian((4, model.config.in_channels, t_len))
     out = model.forward(x, training=True)
     model.backward(Rng(seed + 20).gaussian(out.shape))
     h = hashlib.sha256(out.tobytes())
     for name, grad in model.named_grads():
         h.update(name.encode())
         h.update(grad.tobytes())
-    print(kw["family"], h.hexdigest())
+    print(kw["family"], t_len, h.hexdigest())
 """
 
 
@@ -435,7 +437,7 @@ def _digests_at_thread_counts(script):
 
 def test_gradients_independent_of_blas_thread_count():
     digests = _digests_at_thread_counts(_THREADED_GRADS)
-    assert len(digests[0]) == 3
+    assert len(digests[0]) == 5
     assert digests[0] == digests[1]
 
 

@@ -13,6 +13,10 @@ batch has 4 rows), whose matrix sizes the small cases do not reach. The
 ``volterra.tcn_fir`` case digests the Volterra kernels (h0, h1, h2) of a
 seeded FIR tanh TCN (dilated, batch norm, dropout) trained like the model
 cases. The
+``conv_backward`` case digests the parameter and input gradients of one
+seeded causal conv backward over a (3, 16, 300) input (kernel 3, dilation
+4), without and with weight norm, whose weight gradient sums over several
+time chunks. The
 ``data.load_csv`` case digests the records ``load_csv_dataset`` reads from a
 dataset file written by ``save_csv_dataset`` and from a hand-written file of
 awkward cells (spaces, quotes, signed zero, a subnormal, CRLF and blank
@@ -54,6 +58,7 @@ from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
                       make_chen_dataset, predict_one_step, save_checkpoint,
                       save_csv_dataset, simulate_free_run, train)
 from sysident.cli import main as cli_main  # noqa: E402
+from sysident.layers import CausalConv1d  # noqa: E402
 
 MODEL_CASES = {
     "lstm_d3_dropout": dict(family="lstm", hidden=8, depth=3, dropout=0.3),
@@ -152,6 +157,16 @@ MASKS = {
 }
 
 
+def conv_backward_digest():
+    grads = []
+    for weight_norm in (False, True):
+        conv = CausalConv1d(16, 16, 3, 4, Rng(15), weight_norm=weight_norm)
+        out = conv.forward(Rng(16).gaussian((3, 16, 300)), training=True)
+        d_x = conv.backward(Rng(17).gaussian(out.shape))
+        grads += [g for _, g in conv.named_grads()] + [d_x]
+    return digest(*grads)
+
+
 AWKWARD_CSV = ('"y1", u2 ,note,u1\r\n'
                ' 1.5 ,"-0.0",x,+1.5\r\n'
                '\r\n'
@@ -208,6 +223,7 @@ def main():
     kernels = extract_volterra_kernels(
         train_case(VOLTERRA_TCN, train_set, valid_set)[0])
     print(f"volterra.tcn_fir {digest(kernels.h0, kernels.h1, kernels.h2)}")
+    print(f"conv_backward {conv_backward_digest()}")
     with tempfile.TemporaryDirectory() as tmp:
         print(f"data.load_csv {load_csv_digest(valid_set, tmp)}")
     bench_noise = NoiseSpec(0.3, 0.3)
