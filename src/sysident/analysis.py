@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError, UnsupportedError
+from .errors import (DataError, DimensionError, NumericError, ParameterError,
+                     UnsupportedError)
 from .layers import (Activation, BatchNorm, CausalConv1d, Dropout,
                      ResidualBlock)
 from .models import predict_records
@@ -57,6 +58,8 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     data's original units. ``warmup`` samples are dropped from the start of
     each record before scoring; the report keeps the whole-record predictions,
     which come from ``predict_records`` (see there how records are batched).
+    An RMSE that is not finite, as from a diverging free-run, raises
+    NumericError.
     """
     if warmup < 0:
         raise ParameterError(f"warmup must be >= 0, got {warmup}")
@@ -70,6 +73,8 @@ def evaluate(model, dataset, mode="one-step", warmup=0, normalization=None):
     per_channel, mean = rmse(
         np.concatenate(scored, axis=1),
         np.concatenate([r.y[:, warmup:] for r in dataset.records], axis=1))
+    if not np.isfinite(mean):
+        raise NumericError(f"{mode} RMSE is not finite: {mean}")
     return EvalReport(mode=mode, rmse_per_channel=list(per_channel),
                       rmse_mean=mean,
                       sample_count=sum(p.shape[1] for p in scored),

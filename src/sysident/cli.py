@@ -153,11 +153,13 @@ def cmd_eval(args, seed):
     if args.band is not None:   # reject a bad band before writing any file
         error_spectrum(np.zeros(first.length), sample_rate=rate, band=args.band)
     modes = MODES if args.mode == "both" else [args.mode]
+    # every mode is scored before any file is written, so a failing one
+    # leaves none behind
+    reports = [evaluate(model, dataset, mode=mode, warmup=args.warmup,
+                        normalization=norm) for mode in modes]
     outputs = []
-    for mode in modes:
-        report = evaluate(model, dataset, mode=mode, warmup=args.warmup,
-                          normalization=norm)
-        tag = mode.replace("-", "_")
+    for report in reports:
+        tag = report.mode.replace("-", "_")
         report_path = os.path.join(args.out, f"report_{tag}.json")
         write_json(report_path, report.to_dict())
         outputs.append(report_path)
@@ -169,7 +171,7 @@ def cmd_eval(args, seed):
             _write_spectrum(first, report.predictions[0], rate, args.band,
                             spec_path)
             outputs.append(spec_path)
-        print(f"{mode}: mean RMSE {report.rmse_mean:.6g} over "
+        print(f"{report.mode}: mean RMSE {report.rmse_mean:.6g} over "
               f"{report.sample_count} samples")
     return [args.checkpoint, args.data], outputs
 

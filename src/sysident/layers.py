@@ -1,7 +1,7 @@
 """Differentiable sequence-model building blocks with hand-written backward passes.
 
-Sequence tensors are (batch, channels, time) float64 arrays. Each layer caches
-whatever its backward pass needs during forward; ``backward`` accumulates
+Sequence tensors are (batch, channels, time) float64 arrays. A training-mode
+forward keeps what ``backward`` needs (see ``Layer``); ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
@@ -80,6 +80,11 @@ class Layer:
     order in which their parameters and state are named and saved.
     ``receptive_field`` counts the input samples, the current one included,
     that can move one output sample: 1 for a layer without memory.
+
+    A forward keeps what ``backward`` needs only when ``training=True``; an
+    evaluation forward, and so streaming, keeps nothing and drops what a
+    training forward kept. ``backward`` without a training forward since
+    then raises ParameterError.
     """
 
     receptive_field = 1
@@ -114,6 +119,13 @@ class Layer:
             g[...] = 0.0
         for _, child in self.children:
             child.zero_grads()
+
+    @staticmethod
+    def _training_cache(cache):
+        """``cache`` as the last training forward kept it; None raises."""
+        if cache is None:
+            raise ParameterError("backward called before forward (in training mode)")
+        return cache
 
     def begin_stream(self, batch_size=1):
         for _, child in self.children:
@@ -204,13 +216,6 @@ class CausalConv1d(Layer):
     def forward(self, x, training=False):
         self._check_input(x)
         b_sz, _, t_len = x.shape
-        if t_len == 1:
-            # one column is contracted as the first of two, with an inert zero
-            # right column (the conv is causal), so time stays the inner loop
-            out = self.forward(np.concatenate([x, np.zeros_like(x)], axis=2))
-            xpad, w, _ = self._cache
-            self._cache = (xpad[:, :, :-1], w, 1)
-            return out[:, :, :1]
         pad = (self.kernel_size - 1) * self.dilation
         if pad:
             xpad = np.concatenate(
@@ -219,18 +224,23 @@ class CausalConv1d(Layer):
         else:
             xpad = x
         w = self.effective_weight()
-        self._cache = (xpad, w, t_len)
+        self._cache = (xpad, w, t_len) if training else None
+        if t_len == 1:
+            # one column is contracted as the first of two, with an inert zero
+            # right column (the conv is causal), so time stays the inner loop
+            xpad = np.concatenate([xpad, np.zeros_like(x)], axis=2)
+        cols = max(t_len, 2)
         w_flat = w.transpose(0, 2, 1).reshape(self.out_channels, -1)
-        out = np.empty((b_sz, self.out_channels, t_len))
+        out = np.empty((b_sz, self.out_channels, cols))
         if self.kernel_size == 1:
-            np.einsum("om,bmt->bot", w_flat, x, out=out)
+            np.einsum("om,bmt->bot", w_flat, xpad, out=out)
         else:
             # near-equal chunks of at most _FORWARD_CHUNK columns, each >= 2
             # wide, so time stays the einsum's inner loop
-            n_chunks = -(-t_len // _FORWARD_CHUNK)
-            bounds = [t_len * j // n_chunks for j in range(n_chunks + 1)]
+            n_chunks = -(-cols // _FORWARD_CHUNK)
+            bounds = [cols * j // n_chunks for j in range(n_chunks + 1)]
             c = self.in_channels
-            buf = np.empty((b_sz, self.kernel_size * c, -(-t_len // n_chunks)))
+            buf = np.empty((b_sz, self.kernel_size * c, -(-cols // n_chunks)))
             for s, e in zip(bounds[:-1], bounds[1:]):
                 # tap i's slice fills rows i*C to (i+1)*C of the gather
                 gather = buf[:, :, :e - s]
@@ -239,12 +249,10 @@ class CausalConv1d(Layer):
                     gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + e - s]
                 np.einsum("om,bmt->bot", w_flat, gather, out=out[:, :, s:e])
         out += self.params["b"][None, :, None]
-        return out
+        return out[:, :, :t_len]
 
     def backward(self, grad):
-        if self._cache is None:
-            raise ParameterError("backward called before forward")
-        xpad, w, t_len = self._cache
+        xpad, w, t_len = self._training_cache(self._cache)
         if grad.shape != (xpad.shape[0], self.out_channels, t_len):
             raise DimensionError(
                 f"upstream grad shape {grad.shape} does not match forward output"
@@ -347,19 +355,19 @@ class Activation(Layer):
 
     def forward(self, x, training=False):
         out = self.apply(x)
-        # relu backward needs the input sign; the others only the output
-        self._out = (x > 0.0) if self.kind == "relu" else out
+        self._out = None
+        if training:
+            # relu backward needs the input sign; the others only the output
+            self._out = (x > 0.0) if self.kind == "relu" else out
         return out
 
-    # streaming is evaluation only, so it keeps nothing for a backward pass
-    step = apply
-
     def backward(self, grad):
+        out = self._training_cache(self._out)
         if self.kind == "relu":
-            return grad * self._out
+            return grad * out
         if self.kind == "sigmoid":
-            return grad * self._out * (1.0 - self._out)
-        return grad * (1.0 - self._out * self._out)
+            return grad * out * (1.0 - out)
+        return grad * (1.0 - out * out)
 
 
 class Dropout(Layer):
@@ -386,17 +394,13 @@ class Dropout(Layer):
             return grad
         return grad * self.mask
 
-    def step(self, col):
-        return col    # streaming is evaluation only: the identity
-
 
 class BatchNorm(Layer):
     """Per-channel standardization over batch x time with learned scale/shift.
 
     Training mode normalizes with batch statistics (biased variance) and
     updates running statistics by exponential moving average; evaluation mode
-    normalizes with the stored running statistics. ``backward`` needs a
-    training-mode ``forward`` before it: an evaluation forward caches nothing.
+    normalizes with the stored running statistics.
     """
 
     eps = 1e-5         # added to the variance
@@ -441,9 +445,7 @@ class BatchNorm(Layer):
         return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
 
     def backward(self, grad):
-        if self._cache is None:
-            raise ParameterError("backward called before forward (in training mode)")
-        xhat, inv = self._cache
+        xhat, inv = self._training_cache(self._cache)
         self.grads["beta"] += grad.sum(axis=(0, 2))
         self.grads["gamma"] += (grad * xhat).sum(axis=(0, 2))
         dxhat = grad * self.params["gamma"][None, :, None]

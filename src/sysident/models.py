@@ -230,9 +230,7 @@ class LstmLayer(Layer):
     ``drop``, set on every layer but the top one of a stack, is inverted
     dropout on the layer's output, drawn once as a (time, batch, hidden)
     mask; the recurrence carries the unmasked h. Streaming keeps (h, c).
-    ``backward`` (BPTT) needs a training-mode ``forward`` before it: only
-    that one keeps the per-step cell caches. The memory is unbounded, so
-    there is no receptive field.
+    The memory is unbounded, so there is no receptive field.
     """
 
     def __init__(self, in_size, hidden, rng):
@@ -261,9 +259,7 @@ class LstmLayer(Layer):
         h = np.zeros((b_sz, self.hidden))
         c = np.zeros((b_sz, self.hidden))
         hs = np.empty((t_len, b_sz, self.hidden))
-        # only BPTT reads the per-step caches, so an evaluation forward keeps
-        # none: a long-lived model would otherwise hold B x T x 6 arrays
-        self._steps = [] if training else None
+        self._steps = [] if training else None     # the cell caches BPTT reads
         for t in range(t_len):
             h, c, cache = lstm_cell_step(x[:, :, t], h, c, self.params["Wx"],
                                          self.params["Wh"], self.params["b"])
@@ -276,8 +272,7 @@ class LstmLayer(Layer):
         return np.ascontiguousarray(hs.transpose(1, 2, 0))
 
     def backward(self, grad):
-        if self._steps is None:
-            raise ParameterError("backward called before forward (in training mode)")
+        steps = self._training_cache(self._steps)
         b_sz, _, t_len = grad.shape
         d_h = np.zeros((b_sz, self.hidden))
         d_c = np.zeros((b_sz, self.hidden))
@@ -287,7 +282,7 @@ class LstmLayer(Layer):
             down = self.drop.backward(down)
         for t in range(t_len - 1, -1, -1):
             d_xt, d_h, d_c, d_wx, d_wh, d_b = lstm_cell_backward(
-                self._steps[t], d_h + down[t], d_c, self.params["Wx"],
+                steps[t], d_h + down[t], d_c, self.params["Wx"],
                 self.params["Wh"])
             self.grads["Wx"] += d_wx
             self.grads["Wh"] += d_wh
@@ -361,10 +356,11 @@ def predict_records(model, records, mode):
     """Per-record predictions in model units, in record order.
 
     ``mode`` is "one-step" or "free-run". This is the one place records are
-    grouped, by length: free-run simulates each group as one batch (padding
-    would simulate a tail the shorter records do not have), and one-step runs
-    an LSTM group as one (B, C, T) forward. As with free-run, a batched LSTM
-    row may differ from the one-record prediction in the last bits.
+    grouped, by length (padding would simulate a tail the shorter records do
+    not have): free-run simulates each group as one batch, and one-step runs
+    each group as one (B, C, T) evaluation forward, which keeps no backward
+    caches. A batched conv row equals the one-record prediction bit for bit;
+    as with free-run, a batched LSTM row may differ in the last bits.
     """
     if mode not in MODES:
         raise DataError(f"unknown evaluation mode '{mode}'")
@@ -376,15 +372,8 @@ def predict_records(model, records, mode):
         recs = [records[i] for i in group]
         if mode == "free-run":
             out = simulate_free_run(model, np.stack([r.u for r in recs]))
-        elif model.config.family == "lstm":
-            out = _one_step(model, recs)
         else:
-            # a conv forward already spans the whole record in each einsum;
-            # stacking the records (3 benchmark pairs per family) moved
-            # one-step throughput by +1 to +5% on tcn and -2 to 0% on mlp,
-            # and raised peak RSS by 7-9% on tcn and 2% on mlp, because the
-            # (B, H, T) activations of every record are alive at once
-            out = [predict_one_step(model, r) for r in recs]
+            out = _one_step(model, recs)
         for i, row in zip(group, out):
             preds[i] = row
     return preds

@@ -8,7 +8,10 @@ from sysident import (Dataset, ModelConfig, NoiseSpec, Rng, SequenceRecord,
                       simulate_free_run, volterra_deviation)
 from sysident.data import write_json
 from sysident.layers import Activation
-from sysident.errors import DataError, ParameterError, UnsupportedError
+from sysident.errors import (DataError, DimensionError, NumericError,
+                             ParameterError, UnsupportedError)
+
+from test_models import diverging_mlp, narx_record
 
 
 class TestRmse:
@@ -41,6 +44,10 @@ class TestRmse:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             rmse(np.zeros((1, 0)), np.zeros((1, 0)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="rmse shape mismatch"):
+            rmse(np.zeros((1, 5)), np.zeros((2, 5)))
 
     def test_mean_is_average_over_channels(self):
         yhat = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -324,6 +331,14 @@ class TestEvaluate:
         assert [p.shape for p in rep.predictions] == [(1, 18), (1, 11), (1, 18)]
         for pred, rec in zip(rep.predictions, records):
             assert pred.tobytes() == simulate_free_run(model, rec.u).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_rmse_raises_numeric_error(self):
+        model = diverging_mlp()
+        ds = Dataset(records=[narx_record(4, 60)], role="test")
+        assert np.isfinite(evaluate(model, ds, mode="one-step").rmse_mean)
+        with pytest.raises(NumericError, match="free-run RMSE is not finite"):
+            evaluate(model, ds, mode="free-run")
 
     def test_negative_warmup_rejected(self):
         ds = make_chen_dataset(1, 30, NoiseSpec(0.1, 0.1), seed=26)

@@ -18,7 +18,7 @@ from sysident.training import OPTIMIZERS
 from sysident.cli import main
 from sysident.data import Dataset, SequenceRecord, save_csv_dataset
 
-from test_models import u_channel_model
+from test_models import diverging_mlp, u_channel_model
 
 
 def run_cli(*args):
@@ -113,6 +113,21 @@ class TestTrain:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty dataset file"),
+        ("a,b\n1.0,2.0\n3.0,4.0\n", "no input/output columns declared"),
+        ("u1,y1\n1.0,2.0\n", "dataset yields no training subsequences"),
+    ], ids=["empty_file", "no_channel_columns", "one_row"])
+    def test_unusable_dataset_exit_2(self, tmp_path, capsys, text, message):
+        data = tmp_path / "train.csv"
+        data.write_text(text)
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", data, "--hidden", 3, "--seed", 6,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(out.iterdir())
+
     def test_cell_loadtxt_rejects_exit_2(self, tmp_path, capsys, monkeypatch):
         # float() reads 1_000; the one cell parser, np.loadtxt, does not
         monkeypatch.setattr(cli, "train", refuse_training)
@@ -126,7 +141,10 @@ class TestTrain:
         (("--epochs", 0), "max epochs"),
         (("--subseq-len", 0), "subsequence length"),
         (("--subseq-len", 1), "subsequence length"),
-    ], ids=["epochs_0", "subseq_len_0", "subseq_len_1"])
+        (("--batch-size", 0), "batch size must be >= 1, got 0"),
+        (("--plateau-patience", 0), "patience values must be >= 1"),
+    ], ids=["epochs_0", "subseq_len_0", "subseq_len_1", "batch_size_0",
+            "plateau_patience_0"])
     def test_bad_training_numbers_exit_2(self, tmp_path, capsys, flags, message):
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 40, seed=6)
@@ -299,6 +317,21 @@ class TestEval:
         assert f"{data}: not UTF-8 text" in err and "Traceback" not in err
         assert not list(out.iterdir())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_model_exit_4(self, tmp_path, capsys):
+        # its one-step RMSE is finite; every mode is scored before any file
+        # is written, so the free-run failure leaves none
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(diverging_mlp(), ckpt)
+        data = tmp_path / "test.csv"
+        write_linear_dataset(data, 1, 60, seed=4)
+        out = tmp_path / "o"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
+                       "--mode", "both", "--band", 0.1, 0.3, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "free-run RMSE is not finite" in err and "Traceback" not in err
+        assert not list(out.iterdir())
+
     def test_mismatched_checkpoint_state_exit_2(self, tmp_path, capsys):
         _, data = self._oracle_setup(tmp_path)
         model = build_model(ModelConfig(family="tcn", hidden=3, norm="batch"),
@@ -410,16 +443,16 @@ class TestEval:
         save_checkpoint(model, ckpt)
         data = tmp_path / "three.csv"
         write_linear_dataset(data, 3, 40, seed=16)
-        calls = {"simulate_free_run": 0, "predict_one_step": 0}
+        calls = {"simulate_free_run": 0, "_one_step": 0}
         records = dict(calls)
         for name in calls:
             original = getattr(models, name)
 
             def counted(net, x, *args, _name=name, _fn=original, **kwargs):
                 calls[_name] += 1
-                # a free-run batch is (records, channels, time); any other
-                # argument is one record
-                records[_name] += len(x) if np.ndim(x) == 3 else 1
+                # a (records, channels, time) free-run batch or a list of
+                # equally long records
+                records[_name] += len(x)
                 return _fn(net, x, *args, **kwargs)
             for mod in (models, analysis, cli):
                 if getattr(mod, name, None) is original:
@@ -427,9 +460,9 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
                        "--mode", "both", "--band", 0.1, 0.3,
                        "--out", tmp_path / "o") == 0
-        # the three equal-length records are simulated as one batch
-        assert calls == {"simulate_free_run": 1, "predict_one_step": 3}
-        assert records == {"simulate_free_run": 3, "predict_one_step": 3}
+        # the three equal-length records are one batch in either mode
+        assert calls == {"simulate_free_run": 1, "_one_step": 1}
+        assert records == {"simulate_free_run": 3, "_one_step": 3}
 
         # an LSTM predicts each length group one step ahead in one forward
         lstm = build_model(ModelConfig(family="lstm", hidden=3, depth=2),
@@ -440,7 +473,7 @@ class TestEval:
         save_csv_dataset(Dataset(records=[
             SequenceRecord(u=rng.gaussian(n), y=rng.gaussian(n))
             for n in (40, 25, 40, 40)]), mixed)
-        calls.update(simulate_free_run=0, predict_one_step=0)
+        calls.update(simulate_free_run=0, _one_step=0)
         batches = []
         forward = models.SequenceNet.forward
 
@@ -451,7 +484,7 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", ckpt, "--data", mixed,
                        "--mode", "one-step", "--out", tmp_path / "l") == 0
         assert sorted(batches) == [1, 3]
-        assert calls == {"simulate_free_run": 0, "predict_one_step": 0}
+        assert calls == {"simulate_free_run": 0, "_one_step": 2}
 
 
 class TestGridsearch:
@@ -485,9 +518,14 @@ class TestGridsearch:
         ('{"axes": {"hidden": ["4"]}}', "hidden must be of type int"),
         ('{"axes": {"hidden": [3]}, "bse": {"family": "lstm"}}',
          "unknown keys: ['bse']"),
+        ('{"axes": {"hidden": [2]}, "base": {"norm": "layer"}}',
+         "unknown norm kind 'layer'"),
+        ('{"axes": {"hidden": [2]}, "base": {"activation": "gelu"}}',
+         "unknown activation 'gelu'"),
     ], ids=["unknown_base_field", "base_not_a_mapping", "unknown_axis",
             "axis_not_a_list", "axes_not_a_mapping", "missing_axes",
-            "not_json", "axis_value_str", "unknown_top_level_key"])
+            "not_json", "axis_value_str", "unknown_top_level_key",
+            "unknown_norm", "unknown_activation"])
     def test_malformed_grid_file_exit_2(self, tmp_path, capsys, text, message):
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 30, seed=9)

@@ -255,6 +255,17 @@ class TestCsvRoundTrip:
             assert np.array_equal(orig.u, back.u)
             assert np.array_equal(orig.y, back.y)
 
+    def test_save_load_keeps_sample_rate(self, tmp_path):
+        rng = Rng(31)
+        ds = Dataset(records=[SequenceRecord(u=rng.gaussian(n),
+                                             y=rng.gaussian(n),
+                                             sample_rate=610.35)
+                              for n in (12, 7)])
+        path = tmp_path / "rated.csv"
+        save_csv_dataset(ds, path)
+        assert [r.sample_rate for r in load_csv_dataset(path).records] == \
+            [610.35, 610.35]
+
     def _with_sidecar(self, tmp_path, sidecar):
         path = tmp_path / "rows.csv"
         path.write_text("u1,y1\n" + "".join(f"{k}.0,{k}.5\n" for k in range(30)))
@@ -357,6 +368,14 @@ class TestNormalization:
         out = normalize_dataset(ds, consts)
         back = denormalize_output(out.records[0].y, consts)
         assert np.allclose(back, rec.y, atol=1e-12)
+
+    def test_clean_output_mapped_like_the_output(self):
+        ds = make_chen_dataset(2, 60, NoiseSpec(0.1, 0.1), seed=19)
+        consts = compute_norm_constants(ds)
+        for orig, out in zip(ds.records, normalize_dataset(ds, consts).records):
+            assert np.array_equal(
+                out.y_clean, (orig.y_clean - consts.y_mean[:, None])
+                / consts.y_scale[:, None])
 
     def test_zero_variance_channel_rejected(self):
         ds = Dataset(records=[SequenceRecord(u=np.ones(50), y=Rng(18).gaussian(50))])

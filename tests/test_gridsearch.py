@@ -9,7 +9,7 @@ import pytest
 from sysident import (GridRow, ModelConfig, NoiseSpec, Rng, TrainConfig,
                       derive_seed, grid_expand, load_grid, make_chen_dataset,
                       marginal_quartiles, run_grid, select_best)
-from sysident import gridsearch
+from sysident import analysis, gridsearch
 from sysident.data import write_csv
 from sysident.errors import ConfigError, DataError
 
@@ -284,15 +284,16 @@ class TestRunGrid:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_validation_rmse_recorded_failed(self, monkeypatch,
                                                         bad):
-        # an overflowing free-run can leave a trained model with such a score
-        real = gridsearch.evaluate
+        # an overflowing free-run can leave a trained model with such
+        # predictions; the real evaluate scores them
+        real = analysis.predict_records
 
-        def free_run_blows_up(model, dataset, mode):
-            report = real(model, dataset, mode=mode)
+        def free_run_blows_up(model, records, mode):
+            preds = real(model, records, mode)
             if mode == "free-run":
-                report.rmse_mean = bad
-            return report
-        monkeypatch.setattr(gridsearch, "evaluate", free_run_blows_up)
+                preds[0][0, -1] = bad
+            return preds
+        monkeypatch.setattr(analysis, "predict_records", free_run_blows_up)
         train, valid = tiny_datasets()
         configs = grid_expand({"hidden": [3]}, ModelConfig(
             family="tcn", depth=1, kernel_size=2, activation="tanh"))

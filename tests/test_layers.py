@@ -6,6 +6,7 @@ from sysident.errors import DataError, DimensionError, ParameterError
 from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dropout,
                              ResidualBlock, _sigmoid, weight_norm_backward,
                              weight_norm_forward)
+from sysident.models import LstmLayer
 
 from gradcheck import check_model_gradients, numerical_gradient, relative_error
 
@@ -64,7 +65,7 @@ class TestCausalConv:
 
     def test_zero_upstream_gives_zero_grads(self):
         conv = CausalConv1d(2, 2, 2, 1, Rng(0))
-        out = conv.forward(Rng(1).gaussian((1, 2, 5)))
+        out = conv.forward(Rng(1).gaussian((1, 2, 5)), training=True)
         dx = conv.backward(np.zeros_like(out))
         assert not dx.any()
         assert not conv.grads["W"].any() and not conv.grads["b"].any()
@@ -72,7 +73,7 @@ class TestCausalConv:
     def test_identity_kernel_adjoint(self):
         conv = CausalConv1d(1, 1, 1, 1, Rng(0))
         conv.params["W"][...] = 1.0
-        conv.forward(Rng(1).gaussian((2, 1, 6)))
+        conv.forward(Rng(1).gaussian((2, 1, 6)), training=True)
         g = Rng(2).gaussian((2, 1, 6))
         assert np.array_equal(conv.backward(g), g)
 
@@ -105,7 +106,7 @@ class TestCausalConv:
         b[...] = rng.gaussian(2)
         x = rng.gaussian((batch, 3, t_len))
         g = rng.gaussian((batch, 2, t_len))
-        lhs = np.sum(g * (conv.forward(x) - b[None, :, None]))
+        lhs = np.sum(g * (conv.forward(x, training=True) - b[None, :, None]))
         mag = CausalConv1d(3, 2, kernel, dilation, rng)
         mag.params["W"][...] = np.abs(w)
         mag.params["b"][...] = np.abs(b)
@@ -255,7 +256,7 @@ class TestCausalConv:
         conv = CausalConv1d(2, 1, 2, 1, Rng(0))
         with pytest.raises(DimensionError):
             conv.forward(np.zeros((1, 3, 5)))
-        conv.forward(np.zeros((1, 2, 5)))
+        conv.forward(np.zeros((1, 2, 5)), training=True)
         with pytest.raises(DimensionError):
             conv.backward(np.zeros((1, 1, 4)))
 
@@ -281,7 +282,7 @@ class TestActivations:
 
     def test_relu_subgradient_zero_at_zero(self):
         act = Activation("relu")
-        act.forward(np.array([0.0, 1.0]))
+        act.forward(np.array([0.0, 1.0]), training=True)
         assert np.array_equal(act.backward(np.ones(2)), [0.0, 1.0])
 
 
@@ -517,3 +518,32 @@ def test_delay_commutes_with_static_nonlinearity():
             shifted_then_act = act.apply(np.concatenate([np.zeros(s), z]))
             act_then_shifted = np.concatenate([act.apply(np.zeros(s)), act.apply(z)])
             assert np.array_equal(shifted_then_act, act_then_shifted)
+
+
+BACKWARD_LAYERS = {
+    "conv": lambda: CausalConv1d(2, 3, 2, 1, Rng(27)),
+    "activation": lambda: Activation("relu"),
+    "batch_norm": lambda: BatchNorm(2),
+    "lstm": lambda: LstmLayer(2, 3, Rng(27)),
+}
+
+
+@pytest.mark.parametrize("make", BACKWARD_LAYERS.values(),
+                         ids=BACKWARD_LAYERS.keys())
+def test_backward_needs_a_training_forward(make):
+    x = Rng(28).gaussian((2, 2, 5))
+    layer = make()
+    grad = np.ones_like(layer.forward(x, training=True))
+    layer.backward(grad)
+    layer.forward(x, training=False)    # drops the training forward's cache
+    for unprepared in (layer, make()):
+        with pytest.raises(ParameterError,
+                           match="backward called before forward"):
+            unprepared.backward(grad)
+
+
+@pytest.mark.parametrize("layer", [BatchNorm(2), LstmLayer(2, 3, Rng(29))],
+                         ids=["batch_norm", "lstm"])
+def test_wrong_channel_count_rejected(layer):
+    with pytest.raises(DimensionError, match="expects"):
+        layer.forward(np.zeros((1, 3, 4)))

@@ -11,7 +11,7 @@ from sysident.data import SequenceRecord
 from sysident.errors import (ConfigError, DataError, DimensionError,
                              ParameterError, UnsupportedError)
 from sysident import models
-from sysident.layers import CausalConv1d, Dropout, _sigmoid
+from sysident.layers import CausalConv1d, Dropout, Layer, _sigmoid
 from sysident.models import lstm_cell_step, predict_records
 
 from gradcheck import check_model_gradients
@@ -22,6 +22,26 @@ GRAD_TOL = 1e-6
 def narx_record(seed, length=20):
     rng = Rng(seed)
     return SequenceRecord(u=rng.gaussian(length), y=rng.gaussian(length))
+
+
+def held_arrays(layer):
+    """The arrays a layer, and every layer it references, hold directly or
+    in lists, tuples and dicts."""
+    held, todo, seen = [], [layer], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            held.append(obj)
+        elif isinstance(obj, Layer):
+            todo.extend(vars(obj).values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+    return held
 
 
 def u_channel_model():
@@ -37,6 +57,14 @@ def u_channel_model():
     block.skip.params["b"][...] = 0.0
     model.head.params["W"][...] = 1.0
     model.head.params["b"][...] = 0.0
+    return model
+
+
+def diverging_mlp():
+    """A NARX relu MLP whose free-run overflows: its weights scaled 50x."""
+    model = build_model(ModelConfig(family="mlp", hidden=8, order=2), Rng(3))
+    for _, p in model.named_parameters():
+        p *= 50.0
     return model
 
 
@@ -175,14 +203,44 @@ class TestPredictRecords:
         ("tcn", dict(hidden=5, depth=2, kernel_size=3, dilations=True,
                      activation="tanh")),
         ("mlp", dict(hidden=6, depth=2, order=4, activation="sigmoid")),
+        ("tcn", dict(hidden=5, depth=3, kernel_size=2, dilations=True,
+                     norm="batch", dropout=0.3)),
+        ("tcn", dict(narx=False, hidden=4, kernel_size=4, norm="weight",
+                     activation="sigmoid")),
+        ("mlp", dict(hidden=6, depth=3, order=4, activation="tanh")),
+        ("mlp", dict(narx=False, hidden=3, order=2)),
     ])
     def test_conv_one_step_bytes_equal_predict_one_step(self, family, kw):
+        # one forward per length group: a conv sums each record's columns in
+        # the same order at any batch size
         model = build_model(ModelConfig(family=family, **kw), Rng(44))
+        # a training forward moves the batch-norm statistics off (0, 1)
+        model.forward(Rng(49).gaussian((4, model.config.in_channels, 30)),
+                      training=True)
         records = [narx_record(45 + i, length)
-                   for i, length in enumerate((18, 11, 18, 1))]
+                   for i, length in enumerate((18, 11, 18, 1, 1, 7))]
         report = evaluate(model, Dataset(records=records, role="test"))
         for rec, pred in zip(records, report.predictions):
             assert pred.tobytes() == predict_one_step(model, rec).tobytes()
+
+    @pytest.mark.parametrize("family,kw", [
+        ("tcn", dict(hidden=4, depth=2, kernel_size=3, norm="batch",
+                     dropout=0.3, activation="tanh")),
+        ("mlp", dict(hidden=5, depth=2, order=3)),
+        ("lstm", dict(hidden=4, depth=2, dropout=0.3)),
+    ], ids=["tcn", "mlp", "lstm"])
+    def test_evaluation_leaves_no_arrays_in_layers(self, family, kw):
+        # an evaluation forward keeps nothing for backward and drops what
+        # the training forward before it kept
+        model = build_model(ModelConfig(family=family, **kw), Rng(55))
+        own = {id(a): a for a in held_arrays(model)}    # params, grads, state
+        model.forward(Rng(56).gaussian((3, 2, 12)), training=True)
+        assert any(id(a) not in own for a in held_arrays(model))
+        evaluate(model, Dataset(records=[
+            narx_record(57 + i, length) for i, length in enumerate((30, 30, 9))
+        ], role="test"))
+        for layer in model.chain:
+            assert all(id(a) in own for a in held_arrays(layer))
 
     def test_unknown_mode_rejected(self):
         model = build_model(ModelConfig(family="lstm", hidden=3), Rng(46))

@@ -173,6 +173,14 @@ def linear_gain_dataset(num_records, length, seed, gain=0.5, role="training"):
     return Dataset(records=records, role=role)
 
 
+def test_one_sample_tail_window_skipped():
+    # 41 samples in windows of 20 leave a 1-sample tail: nothing to learn
+    rec = linear_gain_dataset(1, 41, seed=30).records[0]
+    windows = training.build_windows(Dataset(records=[rec]), True, 20)
+    assert [x.shape for x, _ in windows] == [(2, 20), (2, 20)]
+    assert np.array_equal(windows[1][1], rec.y[:, 20:40])
+
+
 class TestTrain:
     def test_recovers_linear_gain(self):
         train_ds = linear_gain_dataset(8, 60, seed=3)
@@ -279,7 +287,7 @@ class TestTrain:
             x = np.stack([xs[i] for i in order])
             y = np.stack([ys[i] for i in order])
             model.zero_grads()
-            out = model.forward(x, training=False)
+            out = model.forward(x, training=True)
             _, grad = _mse(out, y)
             model.backward(grad)
             return dict(model.named_grads())

@@ -25,8 +25,10 @@ lines, an unselected text column, columns selected out of header order). The
 models, their one-record (B = 1) free-run of a 400-sample record (over
 four times the TCN's receptive field of 91, so every ring buffer wraps),
 the sliding-window oracle ``free_run_naive`` over the first 40 samples of
-that record, and their ``evaluate`` one-step predictions on a 10-record set
-(one 10-row forward for the LSTM). The ``cli.*`` cases run seeded ``sysident`` commands
+that record, their ``evaluate`` one-step predictions on a 10-record set
+(one 10-row forward), and, as ``one_step_mixed``, on records of lengths
+1, 37, 100 and 37 (three length groups, one of them one sample long). The
+``cli.*`` cases run seeded ``sysident`` commands
 (generate, train --normalize, eval of both modes with a band and a warm-up,
 volterra --verify of a FIR MLP, gridsearch over two repetitions) in a
 temporary directory, with relative paths, and digest every file each
@@ -52,8 +54,8 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from sysident import (ModelConfig, NoiseSpec, Rng, TrainConfig,  # noqa: E402
-                      build_model, evaluate, extract_volterra_kernels,
+from sysident import (Dataset, ModelConfig, NoiseSpec, Rng,  # noqa: E402
+                      SequenceRecord, TrainConfig, build_model, evaluate, extract_volterra_kernels,
                       free_run_naive, load_checkpoint, load_csv_dataset,
                       make_chen_dataset, predict_one_step, save_checkpoint,
                       save_csv_dataset, simulate_free_run, train)
@@ -236,6 +238,10 @@ def main():
     bench_set = make_chen_dataset(3, 300, noise, seed=3, role="test")
     long_record = make_chen_dataset(1, 400, noise, seed=7, role="test").records[0]
     one_step_set = make_chen_dataset(10, 100, bench_noise, seed=6, role="test")
+    mixed_set = Dataset(records=[
+        SequenceRecord(r.u[:, :n], r.y[:, :n]) for r, n in zip(
+            make_chen_dataset(4, 100, bench_noise, seed=8).records,
+            (1, 37, 100, 37))], role="test")
     for name in BENCH_MODELS:
         model, _ = load_checkpoint(os.path.join(ROOT, "perfbench", "models",
                                                 f"{name}.json"))
@@ -247,6 +253,8 @@ def main():
               f"{digest(free_run_naive(model, long_record.u[:, :40]))}")
         report = evaluate(model, one_step_set, mode="one-step")
         print(f"perfbench.{name}.one_step {digest(*report.predictions)}")
+        report = evaluate(model, mixed_set, mode="one-step")
+        print(f"perfbench.{name}.one_step_mixed {digest(*report.predictions)}")
     for item, value in cli_digests().items():
         print(f"cli.{item} {value}")
 
