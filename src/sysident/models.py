@@ -37,6 +37,7 @@ from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
 MODES = ("one-step", "free-run")     # the evaluation modes
+_TIME_CHUNK = 16     # LSTM steps per stacked GEMM outside the recurrence
 # the Python types each annotated config field accepts; bool, although an
 # int subclass, is neither a size nor a rate
 _ACCEPTED_TYPES = {int: int, bool: bool, float: (int, float), str: str}
@@ -194,38 +195,24 @@ def lstm_cell_step(x_t, h_prev, c_prev, w_x, w_h, b):
     return h, c, cache
 
 
-def lstm_cell_backward(cache, d_h, d_c, w_x, w_h):
-    """Adjoint of one cell step.
-
-    Returns (d_x, d_h_prev, d_c_prev, d_wx, d_wh, d_b) where d_h/d_c are the
-    gradients flowing into this step's outputs.
-    """
-    x_t, h_prev, c_prev, s, g, tc = cache
-    hidden = g.shape[1]
-    i = s[:, :hidden]
-    f = s[:, hidden:2 * hidden]
-    o = s[:, 3 * hidden:]
-    d_c_total = d_c + d_h * o * (1.0 - tc * tc)
-    # dL/d(gate) in gate order i, f, g, o; the sigmoid adjoint then runs once
-    # over the contiguous (B, 4H) block, and the tanh adjoint replaces the g slot
-    d_s = np.empty_like(s)
-    np.multiply(d_c_total, g, out=d_s[:, :hidden])
-    np.multiply(d_c_total, c_prev, out=d_s[:, hidden:2 * hidden])
-    np.multiply(d_c_total, i, out=d_s[:, 2 * hidden:3 * hidden])
-    np.multiply(d_h, tc, out=d_s[:, 3 * hidden:])
-    dz = d_s * s * (1.0 - s)
-    dz[:, 2 * hidden:3 * hidden] = d_s[:, 2 * hidden:3 * hidden] * (1.0 - g * g)
-    d_wx = dz.T @ x_t
-    d_wh = dz.T @ h_prev
-    d_b = dz.sum(axis=0)
-    d_x = dz @ w_x
-    d_h_prev = dz @ w_h
-    d_c_prev = d_c_total * f
-    return d_x, d_h_prev, d_c_prev, d_wx, d_wh, d_b
-
-
 class LstmLayer(Layer):
-    """One LSTM layer over (batch, channels, time), run one step at a time.
+    """One LSTM layer over (batch, channels, time).
+
+    The Python time loop holds only what depends on the previous step:
+    ``h @ Wh.T``, the gates and the cell update going forward, ``dz @ Wh``
+    and the elementwise adjoint going backward. All else runs once per time
+    chunk of at most ``_TIME_CHUNK`` steps: the input projection (one
+    stacked matmul over a contiguous (n, B, C) block), the ``Wx``, ``Wh``
+    and ``b`` gradients, the input gradient and the ``1 - tc*tc``, ``1 - s``
+    and ``1 - g*g`` factors. The bits do not depend on the chunk length: a
+    stacked matmul runs each step's GEMM as a per-step call would, each
+    weight gradient adds its per-step products in reverse time order (one
+    sequential reduce over [running sum, newest, ..., oldest]), and the
+    factors are elementwise; so ``forward`` equals a loop of
+    ``lstm_cell_step`` bit for bit. A training forward keeps (T, B, .)
+    arrays of inputs, states and gates for BPTT; an evaluation forward
+    keeps none, and writes the inputs one chunk and the gates and c one row
+    at a time.
 
     ``drop``, set on every layer but the top one of a stack, is inverted
     dropout on the layer's output, drawn once as a (time, batch, hidden)
@@ -243,7 +230,7 @@ class LstmLayer(Layer):
                                           hidden, hidden, "glorot"))
         self._register("b", np.zeros(4 * hidden))
         self.drop = None
-        self._steps = None     # cell cache per step
+        self._steps = None     # the arrays BPTT reads, each (T, B, .)
         self._state = None
 
     @property
@@ -256,39 +243,89 @@ class LstmLayer(Layer):
                 f"lstm expects (batch, {self.in_size}, time), got {x.shape}"
             )
         b_sz, _, t_len = x.shape
-        h = np.zeros((b_sz, self.hidden))
-        c = np.zeros((b_sz, self.hidden))
-        hs = np.empty((t_len, b_sz, self.hidden))
-        self._steps = [] if training else None     # the cell caches BPTT reads
-        for t in range(t_len):
-            h, c, cache = lstm_cell_step(x[:, :, t], h, c, self.params["Wx"],
-                                         self.params["Wh"], self.params["b"])
-            hs[t] = h
-            if training:
-                self._steps.append(cache)
+        hid = self.hidden
+        self._steps = None
+        rows = t_len if training else 1     # evaluation reuses row 0
+        xs = np.empty((t_len if training else _TIME_CHUNK, b_sz, self.in_size))
+        hs = np.zeros((t_len + 1, b_sz, hid))     # h before each step, and after
+        cs = np.zeros((rows + 1, b_sz, hid))      # c likewise
+        s_all, g_all, tc_all = (np.empty((rows, b_sz, n)) for n in (4 * hid, hid, hid))
+        i_all, f_all, o_all = (s_all[:, :, k * hid:(k + 1) * hid] for k in (0, 1, 3))
+        # b as a (B, 4H) array: a plain add is faster than a broadcast one
+        w_h_t, b = self.params["Wh"].T, np.tile(self.params["b"], (b_sz, 1))
+        z = np.empty((b_sz, 4 * hid))
+        z_g = z[:, 2 * hid:3 * hid]
+        xw = np.empty((_TIME_CHUNK, b_sz, 4 * hid))
+        c = cs[0]
+        for t0 in range(0, t_len, _TIME_CHUNK):
+            n = min(_TIME_CHUNK, t_len - t0)
+            x_c = xs[t0:t0 + n] if training else xs[:n]
+            np.copyto(x_c, x[:, :, t0:t0 + n].transpose(2, 0, 1))
+            np.matmul(x_c, self.params["Wx"].T, out=xw[:n])
+            for t, xw_t in enumerate(xw[:n], t0):
+                j = t if training else 0
+                np.matmul(hs[t], w_h_t, out=z)
+                z += xw_t
+                z += b
+                s_all[j] = _sigmoid(z)   # one call over all 4H; the g slice goes unused
+                g = np.tanh(z_g, out=g_all[j])
+                c = np.add(f_all[j] * c, i_all[j] * g, out=cs[j + 1])
+                np.multiply(o_all[j], np.tanh(c, out=tc_all[j]), out=hs[t + 1])
+        if training:
+            self._steps = (xs, hs, cs, s_all, g_all, tc_all)
+        out = hs[1:]
         if self.drop is not None:
             # one (T, B, H) draw fills the stream as T (B, H) draws would
-            hs = self.drop.forward(hs, training)
-        return np.ascontiguousarray(hs.transpose(1, 2, 0))
+            out = self.drop.forward(out, training)
+        return out.transpose(1, 2, 0).copy()    # never a view of what BPTT reads
 
     def backward(self, grad):
-        steps = self._training_cache(self._steps)
-        b_sz, _, t_len = grad.shape
-        d_h = np.zeros((b_sz, self.hidden))
-        d_c = np.zeros((b_sz, self.hidden))
-        d_x = np.zeros((b_sz, self.in_size, t_len))
+        xs, hs, cs, s_all, g_all, tc_all = self._training_cache(self._steps)
+        t_len, b_sz, hid = g_all.shape
+        w_x, w_h = self.params["Wx"], self.params["Wh"]
+        f_all, o_all = s_all[:, :, hid:2 * hid], s_all[:, :, 3 * hid:]
         down = grad.transpose(2, 0, 1)
         if self.drop is not None:
             down = self.drop.backward(down)
-        for t in range(t_len - 1, -1, -1):
-            d_xt, d_h, d_c, d_wx, d_wh, d_b = lstm_cell_backward(
-                steps[t], d_h + down[t], d_c, self.params["Wx"],
-                self.params["Wh"])
-            self.grads["Wx"] += d_wx
-            self.grads["Wh"] += d_wh
-            self.grads["b"] += d_b
-            d_x[:, :, t] = d_xt
-        return d_x
+        d_xs = np.empty_like(xs)
+        d_h = d_c = np.zeros((b_sz, hid))
+        d_s = np.empty((b_sz, 4, hid))     # dL/d(gate) in gate order i, f, g, o
+        d_s_flat = d_s.reshape(b_sz, 4 * hid)
+        dz = np.empty((_TIME_CHUNK, b_sz, 4 * hid))    # newest step first
+        stacks = {k: np.empty((_TIME_CHUNK + 1, *g.shape))
+                  for k, g in self.grads.items()}
+        for hi in range(t_len, 0, -_TIME_CHUNK):
+            lo = max(hi - _TIME_CHUNK, 0)
+            s_c, g_c, tc_c = s_all[lo:hi], g_all[lo:hi], tc_all[lo:hi]
+            # d_c scales g, c_prev and i into the i, f and g slots, d_h tc into o
+            by = np.stack((g_c, cs[lo:hi], s_c[:, :, :hid], tc_c), axis=2)
+            # dz = d_s * s * (1 - s), and d_s * 1 * (1 - g*g) in the g slot
+            gate, slope = s_c.copy(), 1.0 - s_c
+            gate[:, :, 2 * hid:3 * hid] = 1.0
+            slope[:, :, 2 * hid:3 * hid] = 1.0 - g_c * g_c
+            one_minus_tc2 = 1.0 - tc_c * tc_c
+            for t in range(hi - 1, lo - 1, -1):
+                k = t - lo
+                d_ht = d_h + down[t]
+                d_ct = d_c + d_ht * o_all[t] * one_minus_tc2[k]
+                np.multiply(d_ct[:, None], by[k, :, :3], out=d_s[:, :3])
+                np.multiply(d_ht, by[k, :, 3], out=d_s[:, 3])
+                dz_t = np.multiply(d_s_flat, gate[k], out=dz[hi - 1 - t])
+                dz_t *= slope[k]
+                d_h = dz_t @ w_h
+                d_c = d_ct * f_all[t]
+            dz_c = dz[:hi - lo]
+            for name, inputs in (("Wx", xs), ("Wh", hs), ("b", None)):
+                stack = stacks[name][:hi - lo + 1]
+                stack[0] = self.grads[name]
+                if inputs is None:
+                    np.add.reduce(dz_c, axis=1, out=stack[1:])
+                else:
+                    np.matmul(dz_c.transpose(0, 2, 1), inputs[lo:hi][::-1],
+                              out=stack[1:])
+                np.add.reduce(stack, axis=0, out=self.grads[name])
+            np.matmul(dz_c, w_x, out=d_xs[lo:hi][::-1])
+        return np.ascontiguousarray(d_xs.transpose(1, 2, 0))
 
     def begin_stream(self, batch_size=1):
         self._state = (np.zeros((batch_size, self.hidden)),

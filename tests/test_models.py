@@ -422,9 +422,70 @@ class TestLstmCell:
         model = build_model(cfg, Rng(34))
         x = Rng(35).gaussian((3, 2, 6))
         model.forward(x, training=True)
-        assert all(len(cell._steps) == 6 for cell in model.cells)
+        # per time step and batch row: the input, h and c before the step
+        # (and after the last one), the gates, the candidate and tanh(c)
+        steps = [(6, 3), (7, 3), (7, 3), (6, 3), (6, 3), (6, 3)]
+        for cell in model.cells:
+            assert [a.shape[:2] for a in cell._steps] == steps
         model.forward(x, training=False)
-        assert all(cell._steps is None for cell in model.cells)
+        for cell in model.cells:
+            assert cell._steps is None
+            with pytest.raises(ParameterError, match="backward called before forward"):
+                cell.backward(np.ones((3, 4, 6)))
+
+    @staticmethod
+    def _stepped_reference(cell, drop, x, training):
+        """``cell.forward`` as a loop of ``lstm_cell_step`` and one dropout
+        draw over the (T, B, H) outputs."""
+        h = c = np.zeros((x.shape[0], cell.hidden))
+        hs = []
+        for t in range(x.shape[2]):
+            h, c, _ = lstm_cell_step(x[:, :, t], h, c, cell.params["Wx"],
+                                     cell.params["Wh"], cell.params["b"])
+            hs.append(h)
+        return drop.forward(np.stack(hs), training).transpose(1, 2, 0)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 2 * models._TIME_CHUNK + 3])
+    def test_forward_equals_stepped_cells_across_chunks(self, t_len, batch,
+                                                        training):
+        cell = models.LstmLayer(3, 5, Rng(50))
+        cell.drop = Dropout(0.3, Rng(51))
+        reference = Dropout(0.3, Rng(51))
+        x = Rng(52).gaussian((batch, 3, t_len))
+        out = cell.forward(x, training=training)
+        expected = self._stepped_reference(cell, reference, x, training)
+        assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_training_output_shares_no_memory_with_the_bptt_arrays(self):
+        # at B = H = 1 the (1, 1, T) output is contiguous however it is laid
+        # out, so only a copy keeps a caller's edit out of BPTT
+        cell = models.LstmLayer(2, 1, Rng(58))
+        out = cell.forward(Rng(59).gaussian((1, 2, 7)), training=True)
+        assert not any(np.shares_memory(out, a) for a in cell._steps)
+
+    def test_bptt_matches_finite_differences_past_one_chunk(self):
+        model = build_model(ModelConfig(family="lstm", hidden=3, depth=2), Rng(53))
+        x = Rng(54).gaussian((2, 2, models._TIME_CHUNK + 5))
+        assert check_model_gradients(model, x, training=True) < GRAD_TOL
+
+    def test_gradients_independent_of_chunk_length(self, monkeypatch):
+        t_len = 2 * models._TIME_CHUNK + 3
+        x = Rng(55).gaussian((3, 2, t_len))
+        grad = Rng(56).gaussian((3, 1, t_len))
+
+        def grads_and_dx():
+            cfg = ModelConfig(family="lstm", hidden=5, depth=2, dropout=0.3)
+            model = build_model(cfg, Rng(57))
+            model.forward(x, training=True)
+            d_x = model.backward(grad)
+            return [g.tobytes() for _, g in model.named_grads()] + [d_x.tobytes()]
+
+        default = grads_and_dx()
+        for chunk in (1, t_len):
+            monkeypatch.setattr(models, "_TIME_CHUNK", chunk)
+            assert grads_and_dx() == default
 
     def test_backward_needs_training_forward(self):
         model = build_model(ModelConfig(family="lstm", hidden=4), Rng(36))

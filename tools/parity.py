@@ -6,10 +6,11 @@ prints one ``<case> <sha256>`` line per case. Each model case trains a small
 seeded model on the Chen toy system and digests, one line each, the trained
 parameters and state with the history (losses, learning rates, best epoch;
 not the wall-clock seconds), one-step predictions, batched free-run and the
-checkpoint file bytes. The ``tcn_bench_epoch`` case digests the same trained
-items after one epoch of the benchmark's TCN training (h32, d4, k4, dilated,
-batch norm, dropout 0.3, 20x100 Chen records in batches of 8, so the last
-batch has 4 rows), whose matrix sizes the small cases do not reach. The
+checkpoint file bytes. The ``tcn_bench_epoch`` and ``lstm_bench_epoch``
+cases digest the same trained items after one epoch of the benchmark's TCN
+training (h32, d4, k4, dilated, batch norm, dropout 0.3) and LSTM training
+(h32, d2, dropout 0.3), on 20x100 Chen records in batches of 8, so the last
+batch has 4 rows, at matrix sizes the small cases do not reach. The
 ``volterra.tcn_fir`` case digests the Volterra kernels (h0, h1, h2) of a
 seeded FIR tanh TCN (dilated, batch norm, dropout) trained like the model
 cases. The
@@ -74,8 +75,11 @@ MODEL_CASES = {
 VOLTERRA_TCN = dict(family="tcn", narx=False, hidden=5, depth=2,
                     kernel_size=3, dilations=True, norm="batch", dropout=0.2,
                     activation="tanh")
-BENCH_TCN = dict(family="tcn", hidden=32, depth=4, kernel_size=4,
-                 dilations=True, norm="batch", dropout=0.3)
+BENCH_TRAINING = {
+    "tcn": dict(family="tcn", hidden=32, depth=4, kernel_size=4,
+                dilations=True, norm="batch", dropout=0.3),
+    "lstm": dict(family="lstm", hidden=32, depth=2, dropout=0.3),
+}
 BENCH_MODELS = ("tcn", "mlp", "lstm")
 
 
@@ -229,12 +233,13 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         print(f"data.load_csv {load_csv_digest(valid_set, tmp)}")
     bench_noise = NoiseSpec(0.3, 0.3)
-    model = build_model(ModelConfig(**BENCH_TCN), Rng(13))
-    model, history = train(model, make_chen_dataset(20, 100, bench_noise, seed=4),
-                           make_chen_dataset(2, 100, bench_noise, seed=5,
-                                             role="validation"),
-                           TrainConfig(max_epochs=1, batch_size=8, seed=14))
-    print(f"tcn_bench_epoch.trained {trained_digest(model, history)}")
+    for name, kw in BENCH_TRAINING.items():
+        model, history = train(build_model(ModelConfig(**kw), Rng(13)),
+                               make_chen_dataset(20, 100, bench_noise, seed=4),
+                               make_chen_dataset(2, 100, bench_noise, seed=5,
+                                                 role="validation"),
+                               TrainConfig(max_epochs=1, batch_size=8, seed=14))
+        print(f"{name}_bench_epoch.trained {trained_digest(model, history)}")
     bench_set = make_chen_dataset(3, 300, noise, seed=3, role="test")
     long_record = make_chen_dataset(1, 400, noise, seed=7, role="test").records[0]
     one_step_set = make_chen_dataset(10, 100, bench_noise, seed=6, role="test")
