@@ -6,21 +6,23 @@ parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
 The causal convolution contracts a flattened (tap, channel) axis of gathered
-tap slices with ``np.einsum`` (default, non-optimized kernels) whose inner
-loop is a stride-1 output axis, so each output is summed over (tap, channel)
-in order: time in ``forward`` (one column is contracted as the first of two;
-a long record chunk by chunk through one reused gather, each chunk at least
-two columns wide), output channels in the streaming ``step`` (one channel
-gets a zero second one). ``forward`` adds the bias after its einsums; ``step``
-makes the bias its einsum's last term, 1.0 * b, which is the same last
-addition. So full-sequence and streaming evaluation agree bit for bit.
-Its backward pass keeps one contraction per tap. The input gradient uses
-``np.matmul``, which reduces over the output channels only. The weight
-gradient reduces over batch and time as a sum of BLAS GEMMs, one per record
-and time chunk of at most ``_GRAD_CHUNK`` samples: each chunk's per-record
-products are added over records in order, and the chunks in time order. A
-GEMM whose reduction is shorter than one of its blocks sums it in the same
-order at any thread count, so trained weights depend on the seeds alone.
+tap slices. In evaluation, and so in streaming, the contraction is
+``np.einsum`` (default, non-optimized kernels) whose inner loop is a stride-1
+output axis, so each output is summed over (tap, channel) in order: time in
+``forward`` (one column is contracted as the first of two; a long record
+chunk by chunk through one reused gather, each chunk at least two columns
+wide), output channels in the streaming ``step`` (one channel gets a zero
+second one). ``forward`` adds the bias after its einsums; ``step`` makes the
+bias its einsum's last term, 1.0 * b, which is the same last addition. So
+full-sequence and streaming evaluation agree bit for bit.
+Training runs on BLAS: every GEMM of a training forward and of the backward
+pass has time as its row axis or its reduction, and sums at most
+``_GRAD_CHUNK`` terms, the chunks added in order. OpenBLAS threads split a
+GEMM's columns when it has no more rows than columns and then sum each
+share's last block in another order, so this keeps trained bits off the
+thread count where hidden sizes are multiples of 8. The weight gradient's
+GEMMs, one per record, tap and time chunk, are added over records in order
+and the chunks in time order.
 """
 
 import math
@@ -33,8 +35,8 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh")
 NORM_KINDS = ("batch", "weight", "none")
 # columns per contraction of the conv forward's reused (tap, channel) gather
 _FORWARD_CHUNK = 1024
-# time samples per weight-gradient GEMM: within one BLAS reduction block, so
-# the GEMM sums in the same order at any thread count
+# terms per reduction of a training or backward GEMM: within one BLAS
+# reduction block, so the GEMM sums in the same order at any thread count
 _GRAD_CHUNK = 128
 
 
@@ -163,6 +165,15 @@ def chain_receptive_field(layers):
     return 1 + sum(layer.receptive_field - 1 for layer in layers)
 
 
+def _gemm_rows(a, b):
+    """``a @ b`` for a (B, T, M) ``a``: one GEMM, time as its row axis, per record
+    and chunk of at most _GRAD_CHUNK of the M terms, the chunks added in order."""
+    out = a[:, :, :_GRAD_CHUNK] @ b[:_GRAD_CHUNK]
+    for s in range(_GRAD_CHUNK, b.shape[0], _GRAD_CHUNK):
+        out += a[:, :, s:s + _GRAD_CHUNK] @ b[s:s + _GRAD_CHUNK]
+    return out
+
+
 class CausalConv1d(Layer):
     """Dilated causal convolution over (batch, channels, time).
 
@@ -233,7 +244,7 @@ class CausalConv1d(Layer):
         w_flat = w.transpose(0, 2, 1).reshape(self.out_channels, -1)
         out = np.empty((b_sz, self.out_channels, cols))
         if self.kernel_size == 1:
-            np.einsum("om,bmt->bot", w_flat, xpad, out=out)
+            self._contract(w_flat, xpad, out, training)
         else:
             # near-equal chunks of at most _FORWARD_CHUNK columns, each >= 2
             # wide, so time stays the einsum's inner loop
@@ -247,9 +258,18 @@ class CausalConv1d(Layer):
                 for i in range(self.kernel_size):
                     start = pad - i * self.dilation + s
                     gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + e - s]
-                np.einsum("om,bmt->bot", w_flat, gather, out=out[:, :, s:e])
+                self._contract(w_flat, gather, out[:, :, s:e], training)
         out += self.params["b"][None, :, None]
         return out[:, :, :t_len]
+
+    @staticmethod
+    def _contract(w_flat, gather, out, training):
+        """out = w_flat @ gather per record; in training as (T, K*C) @ (K*C, O)."""
+        if training:
+            rows = _gemm_rows(gather.transpose(0, 2, 1), np.ascontiguousarray(w_flat.T))
+            out[...] = rows.transpose(0, 2, 1)
+        else:
+            np.einsum("om,bmt->bot", w_flat, gather, out=out)
 
     def backward(self, grad):
         xpad, w, t_len = self._training_cache(self._cache)
@@ -259,7 +279,6 @@ class CausalConv1d(Layer):
             )
         pad = (self.kernel_size - 1) * self.dilation
         d_w = np.zeros_like(w)
-        d_xpad = np.zeros_like(xpad)
         for i in range(self.kernel_size):
             start = pad - i * self.dilation
             xi = xpad[:, :, start:start + t_len]
@@ -269,7 +288,14 @@ class CausalConv1d(Layer):
                 per_record = np.matmul(grad[:, :, s:e],
                                        xi[:, :, s:e].transpose(0, 2, 1))
                 d_wi += np.add.reduce(per_record, axis=0)
-            d_xpad[:, :, start:start + t_len] += np.matmul(w[:, :, i].T, grad)
+        # the input gradient, time-major (B, T, C): tap i's product at time t
+        # is added, in tap order, at t - i*dilation
+        g_rows = grad.transpose(0, 2, 1)
+        w_taps = w.transpose(2, 0, 1).copy()    # tap i's (O, C) matrix
+        d_x = _gemm_rows(g_rows, w_taps[0])
+        for i in range(1, self.kernel_size):
+            g_i = g_rows[:, i * self.dilation:]
+            d_x[:, :g_i.shape[1]] += _gemm_rows(g_i, w_taps[i])
         self.grads["b"] += grad.sum(axis=(0, 2))
         if self.weight_norm:
             d_v, d_g = weight_norm_backward(self.params["v"], self.params["g"], d_w)
@@ -277,7 +303,7 @@ class CausalConv1d(Layer):
             self.grads["g"] += d_g
         else:
             self.grads["W"] += d_w
-        return d_xpad[:, :, pad:] if pad else d_xpad
+        return np.ascontiguousarray(d_x.transpose(0, 2, 1))
 
     def begin_stream(self, batch_size):
         """Zero history for ``batch_size`` records: a ring buffer of the last

@@ -172,6 +172,7 @@ def _lstm_cells(c, rng):
     # streams split off after every cell's weights are drawn
     for cell in cells[:-1]:
         cell.drop = Dropout(c.dropout, rng.split())
+        cell.children = [("drop", cell.drop)]
     return cells
 
 
@@ -214,10 +215,11 @@ class LstmLayer(Layer):
     keeps none, and writes the inputs one chunk and the gates and c one row
     at a time.
 
-    ``drop``, set on every layer but the top one of a stack, is inverted
-    dropout on the layer's output, drawn once as a (time, batch, hidden)
-    mask; the recurrence carries the unmasked h. Streaming keeps (h, c).
-    The memory is unbounded, so there is no receptive field.
+    ``drop``, set on every layer but the top one of a stack and listed in
+    ``children``, is inverted dropout on the layer's output, drawn once as a
+    (time, batch, hidden) mask; the recurrence carries the unmasked h.
+    Streaming keeps (h, c). The memory is unbounded, so there is no
+    receptive field.
     """
 
     def __init__(self, in_size, hidden, rng):

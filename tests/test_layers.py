@@ -121,6 +121,56 @@ class TestCausalConv:
         for name in ("W", "b"):
             assert np.array_equal(conv.grads[name], 2.0 * once[name])
 
+    @staticmethod
+    def _magnitude(conv, w, b, x):
+        """sum over taps and channels of |w| |x|, plus |b|, per output"""
+        mag = CausalConv1d(conv.in_channels, conv.out_channels,
+                           conv.kernel_size, conv.dilation, Rng(0))
+        mag.params["W"][...] = np.abs(w)
+        mag.params["b"][...] = np.abs(b)
+        return mag.forward(np.abs(x))
+
+    def test_training_forward_agrees_with_evaluation_forward(self):
+        # K*C = 132 terms reduce as 128 + 4 in each GEMM of a training
+        # forward; evaluation contracts the 1 100 columns in two einsums
+        rng = Rng(16)
+        conv = CausalConv1d(33, 130, 4, 3, rng)
+        conv.params["b"][...] = rng.gaussian(130)
+        x = rng.gaussian((2, 33, 1100))
+        scale = self._magnitude(conv, conv.params["W"], conv.params["b"], x)
+        diff = conv.forward(x, training=True) - conv.forward(x)
+        assert np.all(np.abs(diff) <= 1e-12 * scale)
+
+    def test_backward_matches_finite_differences_past_the_chunks(self):
+        # at the shape above, whose input gradient also reduces 130 output
+        # channels as 128 + 2: <g, out> is linear in each of x, W and b, so
+        # its central difference along a direction d (step 1) equals the
+        # directional derivative up to rounding; the evaluation einsum is
+        # the forward
+        rng = Rng(17)
+        conv = CausalConv1d(33, 130, 4, 3, rng)
+        w, b = conv.params["W"], conv.params["b"]
+        b[...] = rng.gaussian(130)
+        x = rng.gaussian((2, 33, 1100))
+        g = rng.gaussian((2, 130, 1100))
+        conv.forward(x, training=True)
+        grads = {"x": conv.backward(g), "W": conv.grads["W"], "b": conv.grads["b"]}
+        dirs = {"x": rng.gaussian(x.shape), "W": rng.gaussian(w.shape),
+                "b": rng.gaussian(b.shape)}
+        reach = self._magnitude(conv, np.abs(w) + np.abs(dirs["W"]),
+                                np.abs(b) + np.abs(dirs["b"]),
+                                np.abs(x) + np.abs(dirs["x"]))
+        scale = np.sum(np.abs(g) * reach)
+        for name, arr in (("x", x), ("W", w), ("b", b)):
+            d = dirs[name]
+            arr += d
+            up = np.sum(g * conv.forward(x))
+            arr -= 2.0 * d
+            down = np.sum(g * conv.forward(x))
+            arr += d
+            assert abs((up - down) / 2.0 - np.sum(grads[name] * d)) \
+                <= 1e-12 * scale, name
+
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_one_column_is_first_of_two(self, kernel):
         # an einsum over one output column may sum in another order than over

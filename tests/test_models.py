@@ -414,7 +414,7 @@ class TestLstmCell:
                 if li < len(drops):
                     h = drops[li].forward(h, training=True)
             tops[:, :, t] = h
-        assert out.tobytes() == model.head.forward(tops).tobytes()
+        assert out.tobytes() == model.head.forward(tops, training=True).tobytes()
         assert not np.array_equal(out, model.forward(x, training=False))
 
     def test_eval_forward_keeps_no_step_caches(self):
@@ -637,6 +637,29 @@ class TestCheckpoint:
         rec = narx_record(24, 15)
         assert np.array_equal(predict_one_step(model, rec),
                               predict_one_step(loaded, rec))
+
+    def test_lstm_dropout_child_saves_no_name(self, tmp_path):
+        # each inter-layer dropout is a child of its LSTM layer, so a walk
+        # over children finds it; it holds no parameters or state
+        def dropouts(layer):
+            for _, child in layer.children:
+                yield from ([child] if isinstance(child, Dropout) else dropouts(child))
+
+        model = build_model(ModelConfig(family="lstm", hidden=3, depth=3,
+                                        dropout=0.3), Rng(28))
+        assert list(dropouts(model)) == [cell.drop for cell in model.cells[:-1]]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        assert list(doc["params"]) == [
+            f"cells.{i}.{name}" for i in range(3) for name in ("Wx", "Wh", "b")
+        ] + ["head.W", "head.b"]
+        assert doc["state"] == {}
+        loaded, _ = load_checkpoint(path)
+        assert len(list(dropouts(loaded))) == 2
+        for (na, pa), (nb, pb) in zip(model.named_parameters(),
+                                      loaded.named_parameters()):
+            assert na == nb and pa.tobytes() == pb.tobytes()
 
     def test_normalization_payload(self, tmp_path):
         model = build_model(ModelConfig(family="tcn"), Rng(25))

@@ -395,10 +395,15 @@ from sysident import ModelConfig, Rng, build_model
 TCN = dict(family="tcn", hidden=64, depth=3, kernel_size=3, dilations=True)
 MLP = dict(family="mlp", hidden=64, order=16, depth=2)
 LSTM = dict(family="lstm", hidden=64, depth=2)
-# the 1 000-sample windows reduce each weight gradient over many time chunks
+F16 = dict(family="tcn", nu=2, ny=3, hidden=128, depth=3, kernel_size=3,
+           dilations=True)
+# the 1 000-sample windows reduce each weight gradient over many time chunks;
+# with time on a GEMM's column axis, 2 threads split 300 columns with other
+# edge blocks than 1 thread does
 for seed, (kw, t_len) in enumerate((
         (TCN, 100), (MLP, 100), (LSTM, 100),
-        (TCN, 1000), (MLP, 1000), (LSTM, 1000))):
+        (TCN, 1000), (MLP, 1000), (LSTM, 1000),
+        (TCN, 300), (MLP, 300), (F16, 300))):
     model = build_model(ModelConfig(**kw), Rng(seed))
     x = Rng(seed + 10).gaussian((4, model.config.in_channels, t_len))
     out = model.forward(x, training=True)
@@ -446,7 +451,7 @@ def _digests_at_thread_counts(script):
 
 def test_gradients_independent_of_blas_thread_count():
     digests = _digests_at_thread_counts(_THREADED_GRADS)
-    assert len(digests[0]) == 6
+    assert len(digests[0]) == 9
     assert digests[0] == digests[1]
 
 
