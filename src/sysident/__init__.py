@@ -22,8 +22,8 @@ from .errors import (ConfigError, DataError, DimensionError, NumericError,
 from .gridsearch import (GridRow, grid_expand, load_grid, marginal_quartiles,
                          run_grid, select_best)
 from .models import (ModelConfig, build_model, count_parameters,
-                     free_run_naive, load_checkpoint, lstm_cell_step,
-                     predict_one_step, save_checkpoint, simulate_free_run)
+                     free_run_naive, load_checkpoint, predict_one_step,
+                     save_checkpoint, simulate_free_run)
 from .tensor import Rng, derive_seed
 from .training import (Adam, RMSprop, SGDMomentum, TrainConfig, TrainHistory,
                        mse_loss, train, validation_loss)

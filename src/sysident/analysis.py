@@ -226,6 +226,9 @@ def error_spectrum(err, sample_rate=1.0, band=None):
     err = np.asarray(err, dtype=np.float64).reshape(-1)
     if err.size < 2:
         raise DataError("error spectrum needs at least 2 samples")
+    if not 0 < sample_rate < np.inf:     # NaN fails it too
+        raise ParameterError(f"sample_rate must be a finite number > 0, "
+                             f"got {sample_rate!r}")
     spectrum = np.fft.fft(err)
     freqs = np.fft.fftfreq(err.size, d=1.0 / sample_rate)
     mags = np.abs(spectrum)

@@ -189,11 +189,9 @@ def _write_predictions(dataset, predictions, path):
 def _write_spectrum(record, yhat, rate, band, path):
     ny = record.y.shape[0]
     err = yhat - record.y
-    freqs, first = error_spectrum(err[0], sample_rate=rate, band=band)
-    mags = [first] + [error_spectrum(err[i], sample_rate=rate, band=band)[1]
-                      for i in range(1, ny)]
+    spectra = [error_spectrum(e, sample_rate=rate, band=band) for e in err]
     write_csv(path, ["frequency"] + [f"mag_y{i + 1}" for i in range(ny)],
-              np.column_stack([freqs] + mags).tolist())
+              np.column_stack([spectra[0][0]] + [m for _, m in spectra]).tolist())
 
 
 def cmd_gridsearch(args, seed):

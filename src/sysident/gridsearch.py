@@ -223,10 +223,14 @@ def run_grid(configs, train_set, valid_set, train_config, jobs=1,
     return rows
 
 
-def _scored(rows, attr):
+def _scored(rows, metric):
     # a NaN would compare false both ways, so only finite scores are ranked
-    return [r for r in rows if r.status == "ok" and getattr(r, attr) is not None
-            and math.isfinite(getattr(r, attr))]
+    if metric not in MODES:
+        raise DataError(f"unknown evaluation mode '{metric}'")
+    attr = _METRIC_FIELDS[metric]
+    return attr, [r for r in rows if r.status == "ok"
+                  and getattr(r, attr) is not None
+                  and math.isfinite(getattr(r, attr))]
 
 
 def select_best(rows, metric="one-step"):
@@ -236,8 +240,7 @@ def select_best(rows, metric="one-step"):
     Ties break toward fewer parameters, then lexicographic configuration order;
     only the tied rows' models are counted.
     """
-    attr = _METRIC_FIELDS[metric]
-    ok = _scored(rows, attr)
+    attr, ok = _scored(rows, metric)
     if not ok:
         raise DataError("no successful grid rows to select from")
     best = min(ok, key=lambda row: getattr(row, attr))
@@ -253,9 +256,11 @@ def marginal_quartiles(rows, axis, metric="one-step"):
     """Box-plot aggregation: quartiles of the metric per value of one axis,
     marginalizing over every other hyperparameter; only ``ok`` rows with a
     finite metric count."""
-    attr = _METRIC_FIELDS[metric]
+    if axis not in {f.name for f in fields(ModelConfig)}:
+        raise ConfigError(f"unknown grid axis '{axis}'")
+    attr, scored = _scored(rows, metric)
     groups = {}
-    for row in _scored(rows, attr):
+    for row in scored:
         groups.setdefault(row.config[axis], []).append(getattr(row, attr))
     out = {}
     for value, metrics in groups.items():

@@ -16,7 +16,8 @@ step einsum's last term, where ``forward`` adds it after its einsum. The
 streamed columns are plain C-order arrays.
 
 All three families are one ``SequenceNet``: a chain of stages (TCN residual
-blocks, MLP dense layers or stacked ``LstmLayer``s) and a 1x1 output map.
+blocks, MLP dense layers or stacked ``LstmLayer``s, whose forward and
+streaming step share one cell update) and a 1x1 output map.
 """
 
 import base64
@@ -180,20 +181,15 @@ def _output_map(c, rng):
     return CausalConv1d(c.hidden, c.ny, 1, 1, rng, init="glorot")
 
 
-def lstm_cell_step(x_t, h_prev, c_prev, w_x, w_h, b):
-    """One LSTM cell update; returns (h, c, cache) with gate order i, f, g, o."""
-    hidden = h_prev.shape[1]
-    z = x_t @ w_x.T + h_prev @ w_h.T + b
+def _lstm_cell(z, c_prev, g, c, tc, h):
+    """One LSTM cell update from pre-activations z (gates i, f, g, o): writes
+    g, c, tanh(c) and h into the given arrays and returns the gates."""
+    hid = g.shape[1]
     s = _sigmoid(z)   # one call over all 4H; the g slice goes unused
-    i = s[:, :hidden]
-    f = s[:, hidden:2 * hidden]
-    g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = s[:, 3 * hidden:]
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (x_t, h_prev, c_prev, s, g, tc)
-    return h, c, cache
+    np.tanh(z[:, 2 * hid:3 * hid], out=g)
+    np.add(s[:, hid:2 * hid] * c_prev, s[:, :hid] * g, out=c)
+    np.multiply(s[:, 3 * hid:], np.tanh(c, out=tc), out=h)
+    return s
 
 
 class LstmLayer(Layer):
@@ -209,11 +205,12 @@ class LstmLayer(Layer):
     stacked matmul runs each step's GEMM as a per-step call would, each
     weight gradient adds its per-step products in reverse time order (one
     sequential reduce over [running sum, newest, ..., oldest]), and the
-    factors are elementwise; so ``forward`` equals a loop of
-    ``lstm_cell_step`` bit for bit. A training forward keeps (T, B, .)
-    arrays of inputs, states and gates for BPTT; an evaluation forward
-    keeps none, and writes the inputs one chunk and the gates and c one row
-    at a time.
+    factors are elementwise. ``forward``'s loop and ``step`` share the cell
+    update ``_lstm_cell`` and sum its pre-activation alike, so ``forward``
+    equals ``step`` over its columns bit for bit. A training forward keeps
+    (T, B, .) arrays of inputs, states and gates for BPTT; an evaluation
+    forward keeps none, and writes the inputs one chunk and the gates and c
+    one row at a time.
 
     ``drop``, set on every layer but the top one of a stack and listed in
     ``children``, is inverted dropout on the layer's output, drawn once as a
@@ -250,29 +247,23 @@ class LstmLayer(Layer):
         rows = t_len if training else 1     # evaluation reuses row 0
         xs = np.empty((t_len if training else _TIME_CHUNK, b_sz, self.in_size))
         hs = np.zeros((t_len + 1, b_sz, hid))     # h before each step, and after
-        cs = np.zeros((rows + 1, b_sz, hid))      # c likewise
+        cs = np.zeros((rows + training, b_sz, hid))   # c likewise; row 0 in evaluation
         s_all, g_all, tc_all = (np.empty((rows, b_sz, n)) for n in (4 * hid, hid, hid))
-        i_all, f_all, o_all = (s_all[:, :, k * hid:(k + 1) * hid] for k in (0, 1, 3))
         # b as a (B, 4H) array: a plain add is faster than a broadcast one
         w_h_t, b = self.params["Wh"].T, np.tile(self.params["b"], (b_sz, 1))
         z = np.empty((b_sz, 4 * hid))
-        z_g = z[:, 2 * hid:3 * hid]
         xw = np.empty((_TIME_CHUNK, b_sz, 4 * hid))
-        c = cs[0]
         for t0 in range(0, t_len, _TIME_CHUNK):
             n = min(_TIME_CHUNK, t_len - t0)
             x_c = xs[t0:t0 + n] if training else xs[:n]
             np.copyto(x_c, x[:, :, t0:t0 + n].transpose(2, 0, 1))
             np.matmul(x_c, self.params["Wx"].T, out=xw[:n])
             for t, xw_t in enumerate(xw[:n], t0):
-                j = t if training else 0
+                j, k = (t, t + 1) if training else (0, 0)
                 np.matmul(hs[t], w_h_t, out=z)
                 z += xw_t
                 z += b
-                s_all[j] = _sigmoid(z)   # one call over all 4H; the g slice goes unused
-                g = np.tanh(z_g, out=g_all[j])
-                c = np.add(f_all[j] * c, i_all[j] * g, out=cs[j + 1])
-                np.multiply(o_all[j], np.tanh(c, out=tc_all[j]), out=hs[t + 1])
+                s_all[j] = _lstm_cell(z, cs[j], g_all[j], cs[k], tc_all[j], hs[t + 1])
         if training:
             self._steps = (xs, hs, cs, s_all, g_all, tc_all)
         out = hs[1:]
@@ -330,19 +321,21 @@ class LstmLayer(Layer):
         return np.ascontiguousarray(d_xs.transpose(1, 2, 0))
 
     def begin_stream(self, batch_size=1):
-        self._state = (np.zeros((batch_size, self.hidden)),
-                       np.zeros((batch_size, self.hidden)))
+        # h, c, and room for g and tanh(c); a step writes all but h in place
+        self._state = tuple(np.zeros((4, batch_size, self.hidden)))
 
     def step(self, col):
         if self._state is None:
             raise ParameterError("step called before begin_stream")
-        if col.shape != (self._state[0].shape[0], self.in_size, 1):
-            raise DimensionError(
-                f"lstm step expects ({self._state[0].shape[0]}, {self.in_size}, 1), "
-                f"got {col.shape}")
-        h, c, _ = lstm_cell_step(col[:, :, 0], *self._state, self.params["Wx"],
-                                 self.params["Wh"], self.params["b"])
-        self._state = (h, c)
+        h_prev, c, g, tc = self._state
+        if col.shape != (len(h_prev), self.in_size, 1):
+            raise DimensionError(f"lstm step expects ({len(h_prev)}, "
+                                 f"{self.in_size}, 1), got {col.shape}")
+        z = (h_prev @ self.params["Wh"].T + col[:, :, 0] @ self.params["Wx"].T
+             + self.params["b"])
+        h = np.empty_like(h_prev)
+        _lstm_cell(z, c, g, c, tc, h)
+        self._state = (h, c, g, tc)
         return h[:, :, None]
 
 

@@ -301,6 +301,11 @@ class TestErrorSpectrum:
         with pytest.raises(ParameterError, match="band"):
             error_spectrum(np.ones(10), band=band)
 
+    @pytest.mark.parametrize("rate", [0.0, float("inf"), -1.0, float("nan")])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(ParameterError, match="sample_rate"):
+            error_spectrum(np.ones(10), sample_rate=rate)
+
 
 class TestEvaluate:
     def test_report_fields_and_modes(self):

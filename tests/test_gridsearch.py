@@ -345,29 +345,29 @@ class TestRunGrid:
         assert not journal.exists()
 
 
-class TestSelectBest:
-    def _row(self, index, rmse, hidden=4, depth=1):
-        cfg = ModelConfig(family="tcn", hidden=hidden, depth=depth,
-                          kernel_size=2)
-        return GridRow(index=index, repetition=0, config=cfg.to_dict(),
-                       train_config=asdict(TrainConfig()),
-                       seed=0, status="ok", rmse_one_step=rmse,
-                       rmse_free_run=rmse + 0.1, best_epoch=0, wall_clock=1.0)
+def scored_row(index, rmse, hidden=4, depth=1):
+    cfg = ModelConfig(family="tcn", hidden=hidden, depth=depth, kernel_size=2)
+    return GridRow(index=index, repetition=0, config=cfg.to_dict(),
+                   train_config=asdict(TrainConfig()),
+                   seed=0, status="ok", rmse_one_step=rmse,
+                   rmse_free_run=rmse + 0.1, best_epoch=0, wall_clock=1.0)
 
+
+class TestSelectBest:
     def test_single_row(self):
-        row = self._row(0, 0.5)
+        row = scored_row(0, 0.5)
         config, score = select_best([row])
         assert score == 0.5
         assert config.hidden == 4
 
     def test_planted_minimum(self):
-        rows = [self._row(i, r) for i, r in enumerate([0.9, 0.2, 0.5, 0.7])]
+        rows = [scored_row(i, r) for i, r in enumerate([0.9, 0.2, 0.5, 0.7])]
         _, score = select_best(rows)
         assert score == 0.2
 
     def test_tie_breaks_toward_fewer_parameters(self):
-        small = self._row(0, 0.5, hidden=2)
-        big = self._row(1, 0.5, hidden=16)
+        small = scored_row(0, 0.5, hidden=2)
+        big = scored_row(1, 0.5, hidden=16)
         config, _ = select_best([big, small])
         assert config.hidden == 2
 
@@ -378,36 +378,40 @@ class TestSelectBest:
             counted.append(config.hidden)
             return config.hidden
         monkeypatch.setattr(gridsearch, "count_parameters", counter)
-        rows = [self._row(i, r, hidden=i + 2)
+        rows = [scored_row(i, r, hidden=i + 2)
                 for i, r in enumerate([0.9, 0.2, 0.5, 0.7])]
         assert select_best(rows)[0].hidden == 3
         assert counted == []
-        rows += [self._row(4, 0.2, hidden=1), self._row(5, 0.2, hidden=8)]
+        rows += [scored_row(4, 0.2, hidden=1), scored_row(5, 0.2, hidden=8)]
         assert select_best(rows)[0].hidden == 1
         assert sorted(counted) == [1, 3, 8]
 
     def test_metric_selection(self):
-        rows = [self._row(0, 0.5), self._row(1, 0.4)]
+        rows = [scored_row(0, 0.5), scored_row(1, 0.4)]
         rows[0].rmse_free_run = 0.1     # best free-run belongs to row 0
         _, score = select_best(rows, metric="free-run")
         assert score == 0.1
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rows_skipped_in_either_order(self, bad):
-        rows = [self._row(0, bad, hidden=2), self._row(1, 0.2, hidden=3)]
+        rows = [scored_row(0, bad, hidden=2), scored_row(1, 0.2, hidden=3)]
         for order in (rows, rows[::-1]):
             config, score = select_best(order)
             assert (config.hidden, score) == (3, 0.2)
 
     def test_only_non_finite_rows(self):
         with pytest.raises(DataError):
-            select_best([self._row(0, float("nan"))])
+            select_best([scored_row(0, float("nan"))])
 
     def test_all_failed(self):
-        row = self._row(0, 0.5)
+        row = scored_row(0, 0.5)
         row.status = "failed"
         with pytest.raises(DataError):
             select_best([row])
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(DataError, match="unknown evaluation mode 'x'"):
+            select_best([scored_row(0, 0.5)], metric="x")
 
 
 class TestMarginalQuartiles:
@@ -451,6 +455,18 @@ class TestMarginalQuartiles:
         for order in (rows, rows[::-1]):
             assert marginal_quartiles(order, "hidden") == finite
         assert all(np.isfinite(q).all() for q in finite.values())
+
+    def test_unknown_metric_rejected(self):
+        rows = [scored_row(0, 0.5)]
+        with pytest.raises(DataError, match="unknown evaluation mode 'x'"):
+            marginal_quartiles(rows, "hidden", metric="x")
+
+    @pytest.mark.parametrize("n_rows", [1, 0])
+    def test_unknown_axis_rejected(self, n_rows):
+        # checked before any row is read, so an empty row list does not hide it
+        rows = [scored_row(0, 0.5)][:n_rows]
+        with pytest.raises(ConfigError, match="unknown grid axis 'nope'"):
+            marginal_quartiles(rows, "nope")
 
 
 def test_results_csv_round_trip(tmp_path):

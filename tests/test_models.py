@@ -12,7 +12,7 @@ from sysident.errors import (ConfigError, DataError, DimensionError,
                              ParameterError, UnsupportedError)
 from sysident import models
 from sysident.layers import CausalConv1d, Dropout, Layer, _sigmoid
-from sysident.models import lstm_cell_step, predict_records
+from sysident.models import predict_records
 
 from gradcheck import check_model_gradients
 
@@ -22,6 +22,19 @@ GRAD_TOL = 1e-6
 def narx_record(seed, length=20):
     rng = Rng(seed)
     return SequenceRecord(u=rng.gaussian(length), y=rng.gaussian(length))
+
+
+def lstm_cell_step(x_t, h_prev, c_prev, w_x, w_h, b):
+    """Reference LSTM cell update, gate order i, f, g, o; returns (h, c)."""
+    hidden = h_prev.shape[1]
+    z = x_t @ w_x.T + h_prev @ w_h.T + b
+    s = _sigmoid(z)
+    i = s[:, :hidden]
+    f = s[:, hidden:2 * hidden]
+    g = np.tanh(z[:, 2 * hidden:3 * hidden])
+    o = s[:, 3 * hidden:]
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
 
 
 def held_arrays(layer):
@@ -261,14 +274,23 @@ class TestFreeRun:
         assert not yhat.any()
 
     def test_fir_model_free_run_equals_one_step_bitwise(self):
-        cfg = ModelConfig(family="tcn", narx=False, hidden=5, depth=2,
-                          kernel_size=3, activation="tanh")
-        model = build_model(cfg, Rng(7))
-        for length in (25, 1):
-            u = Rng(8).gaussian(length)
-            rec = SequenceRecord(u=u, y=np.zeros(length))
-            assert np.array_equal(simulate_free_run(model, u),
-                                  predict_one_step(model, rec))
+        recs = [SequenceRecord(u=Rng(s).gaussian(25), y=np.zeros(25))
+                for s in (9, 10, 11)]
+        for cfg in (ModelConfig(family="tcn", narx=False, hidden=5, depth=2,
+                                kernel_size=3, activation="tanh"),
+                    ModelConfig(family="mlp", narx=False, hidden=5, depth=2,
+                                order=4, activation="tanh"),
+                    ModelConfig(family="lstm", narx=False, hidden=5, depth=2)):
+            model = build_model(cfg, Rng(7))
+            for length in (25, 1):
+                u = Rng(8).gaussian(length)
+                rec = SequenceRecord(u=u, y=np.zeros(length))
+                assert (simulate_free_run(model, u).tobytes()
+                        == predict_one_step(model, rec).tobytes())
+            # one batch of 3 records in each mode
+            free, one = (predict_records(model, recs, mode)
+                         for mode in ("free-run", "one-step"))
+            assert [r.tobytes() for r in free] == [r.tobytes() for r in one]
 
     @pytest.mark.parametrize("family,kw", [
         ("tcn", dict(hidden=5, depth=2, kernel_size=3, dilations=True,
@@ -327,24 +349,24 @@ class TestFreeRun:
 class TestLstmCell:
     def test_zero_weights_zero_state(self):
         # gates sit at 0.5 and the candidate at 0, so h' = c' = 0 exactly
-        h, c, _ = lstm_cell_step(np.ones((2, 3)), np.zeros((2, 4)),
-                                 np.zeros((2, 4)), np.zeros((16, 3)),
-                                 np.zeros((16, 4)), np.zeros(16))
-        assert not h.any() and not c.any()
+        cell = models.LstmLayer(3, 4, Rng(14))
+        for p in cell.params.values():
+            p[...] = 0.0
+        x = np.ones((2, 3, 5))
+        cell.forward(x, training=True)
+        _, hs, cs, _, _, _ = cell._steps
+        assert not hs.any() and not cs.any()
+        cell.begin_stream(2)
+        assert not cell.step(x[:, :, :1]).any() and not cell._state[1].any()
 
     def test_saturated_forget_gate_accumulates(self):
-        rng = Rng(15)
         hidden = 3
-        w_x = rng.gaussian((12, 2), std=0.3)
-        w_h = rng.gaussian((12, 3), std=0.3)
-        b = np.zeros(12)
-        b[hidden:2 * hidden] = 40.0     # forget gate pinned at 1
-        x = rng.gaussian((1, 2))
-        c_prev = rng.gaussian((1, 3))
-        _, c, cache = lstm_cell_step(x, np.zeros((1, 3)), c_prev, w_x, w_h, b)
-        _, _, _, s, g, _ = cache
-        i = s[:, :hidden]
-        assert np.allclose(c, c_prev + i * g, atol=1e-12)
+        cell = models.LstmLayer(2, hidden, Rng(15))
+        cell.params["b"][hidden:2 * hidden] = 40.0     # forget gate pinned at 1
+        cell.forward(Rng(16).gaussian((1, 2, 4)), training=True)
+        _, _, cs, s, g, _ = cell._steps
+        i = s[:, :, :hidden]
+        assert np.allclose(cs[1:], cs[:-1] + i * g, atol=1e-12)
 
     def test_one_sigmoid_call_per_step(self, monkeypatch):
         calls = []
@@ -361,19 +383,18 @@ class TestLstmCell:
     def test_cached_gates_equal_masked_sigmoid(self, masked_sigmoid):
         rng = Rng(22)
         hidden = 6
-        x = rng.gaussian((4, 3))
-        h_prev = rng.gaussian((4, hidden))
-        w_x = rng.gaussian((4 * hidden, 3), std=2.0)
-        w_h = rng.gaussian((4 * hidden, hidden), std=2.0)
-        b = rng.gaussian(4 * hidden)
-        _, _, cache = lstm_cell_step(x, h_prev, rng.gaussian((4, hidden)),
-                                     w_x, w_h, b)
-        s = cache[3]
-        z = x @ w_x.T + h_prev @ w_h.T + b
-        for k in (0, 1, 3):     # gates i, f, o
-            gate = s[:, k * hidden:(k + 1) * hidden]
-            expected = masked_sigmoid(z[:, k * hidden:(k + 1) * hidden])
-            assert gate.tobytes() == expected.tobytes()
+        cell = models.LstmLayer(3, hidden, rng)
+        for p in cell.params.values():     # wide pre-activations of both signs
+            p[...] = rng.gaussian(p.shape, std=2.0)
+        cell.forward(rng.gaussian((4, 3, 5)), training=True)
+        xs, hs, _, s, _, _ = cell._steps
+        w_x, w_h, b = cell.params["Wx"], cell.params["Wh"], cell.params["b"]
+        for t in range(5):
+            z = hs[t] @ w_h.T + xs[t] @ w_x.T + b
+            for k in (0, 1, 3):     # gates i, f, o
+                gate = s[t, :, k * hidden:(k + 1) * hidden]
+                expected = masked_sigmoid(z[:, k * hidden:(k + 1) * hidden])
+                assert gate.tobytes() == expected.tobytes()
 
     def test_bptt_matches_finite_differences_on_length_5(self):
         cfg = ModelConfig(family="lstm", hidden=4, depth=2)
@@ -408,8 +429,8 @@ class TestLstmCell:
         for t in range(6):
             h = x[:, :, t]
             for li, cell in enumerate(model.cells):
-                h, c, _ = lstm_cell_step(h, *state[li], cell.params["Wx"],
-                                         cell.params["Wh"], cell.params["b"])
+                h, c = lstm_cell_step(h, *state[li], cell.params["Wx"],
+                                      cell.params["Wh"], cell.params["b"])
                 state[li] = (h, c)
                 if li < len(drops):
                     h = drops[li].forward(h, training=True)
@@ -440,8 +461,8 @@ class TestLstmCell:
         h = c = np.zeros((x.shape[0], cell.hidden))
         hs = []
         for t in range(x.shape[2]):
-            h, c, _ = lstm_cell_step(x[:, :, t], h, c, cell.params["Wx"],
-                                     cell.params["Wh"], cell.params["b"])
+            h, c = lstm_cell_step(x[:, :, t], h, c, cell.params["Wx"],
+                                  cell.params["Wh"], cell.params["b"])
             hs.append(h)
         return drop.forward(np.stack(hs), training).transpose(1, 2, 0)
 
@@ -451,12 +472,23 @@ class TestLstmCell:
     def test_forward_equals_stepped_cells_across_chunks(self, t_len, batch,
                                                         training):
         cell = models.LstmLayer(3, 5, Rng(50))
+        cell.params["b"][...] = Rng(49).gaussian(20)    # zero at init
         cell.drop = Dropout(0.3, Rng(51))
         reference = Dropout(0.3, Rng(51))
         x = Rng(52).gaussian((batch, 3, t_len))
         out = cell.forward(x, training=training)
         expected = self._stepped_reference(cell, reference, x, training)
         assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_step_stream_equals_eval_forward(self, batch):
+        cell = models.LstmLayer(3, 5, Rng(60))
+        cell.params["b"][...] = Rng(62).gaussian(20)    # zero at init
+        x = Rng(61).gaussian((batch, 3, 2 * models._TIME_CHUNK + 3))
+        cell.begin_stream(batch)
+        streamed = np.concatenate([cell.step(x[:, :, t:t + 1])
+                                   for t in range(x.shape[2])], axis=2)
+        assert streamed.tobytes() == cell.forward(x).tobytes()
 
     def test_training_output_shares_no_memory_with_the_bptt_arrays(self):
         # at B = H = 1 the (1, 1, T) output is contiguous however it is laid
@@ -513,17 +545,12 @@ class TestLstmCell:
         assert cell.step(np.ones((3, 2, 1))).shape == (3, 4, 1)
 
     def test_state_bounds(self):
-        cfg = ModelConfig(family="lstm", hidden=6, depth=1)
-        model = build_model(cfg, Rng(18))
-        cell = model.cells[0]
-        h = np.zeros((1, 6))
-        c = np.zeros((1, 6))
-        x = Rng(19).gaussian((40, 1, 2))
-        for t in range(40):
-            h, c, _ = lstm_cell_step(x[t], h, c, cell.params["Wx"],
-                                     cell.params["Wh"], cell.params["b"])
-            assert np.all(np.abs(c) <= t + 1 + 1e-12)  # |candidate| < 1 per step
-            assert np.all(np.abs(h) < 1.0)
+        cell = models.LstmLayer(2, 6, Rng(18))
+        cell.forward(Rng(19).gaussian((1, 2, 40)), training=True)
+        _, hs, cs, _, _, _ = cell._steps
+        for t in range(1, 41):
+            assert np.all(np.abs(cs[t]) <= t + 1e-12)  # |candidate| < 1 per step
+            assert np.all(np.abs(hs[t]) < 1.0)
 
 
 class TestReceptiveField:
