@@ -5,24 +5,27 @@ forward keeps what ``backward`` needs (see ``Layer``); ``backward`` accumulates
 parameter gradients into ``grads`` and returns the gradient w.r.t. the layer
 input.
 
-The causal convolution contracts a flattened (tap, channel) axis of gathered
-tap slices. In evaluation, and so in streaming, the contraction is
-``np.einsum`` (default, non-optimized kernels) whose inner loop is a stride-1
-output axis, so each output is summed over (tap, channel) in order: time in
-``forward`` (one column is contracted as the first of two; a long record
-chunk by chunk through one reused gather, each chunk at least two columns
-wide), output channels in the streaming ``step`` (one channel gets a zero
-second one). ``forward`` adds the bias after its einsums; ``step`` makes the
-bias its einsum's last term, 1.0 * b, which is the same last addition. So
-full-sequence and streaming evaluation agree bit for bit.
-Training runs on BLAS: every GEMM of a training forward and of the backward
-pass has time as its row axis or its reduction, and sums at most
-``_GRAD_CHUNK`` terms, the chunks added in order. OpenBLAS threads split a
-GEMM's columns when it has no more rows than columns and then sum each
-share's last block in another order, so this keeps trained bits off the
-thread count where hidden sizes are multiples of 8. The weight gradient's
-GEMMs, one per record, tap and time chunk, are added over records in order
-and the chunks in time order.
+The causal convolution contracts a flattened (tap, channel) axis of
+gathered tap slices in one way in every mode, ``_gemm_rows``: one BLAS GEMM
+per record with time as its row axis (records, in the streaming ``step``),
+summing chunks of at most ``_GRAD_CHUNK`` terms, the chunks added in order,
+against the kernel as a (K*C, O8) matrix, where O8 is O rounded up to a
+multiple of 8 and the extra columns are zero; the bias is added after it.
+On OpenBLAS a row of such a GEMM gets the same bits whatever the number of
+other rows and threads, whereas an output count that is no multiple of 8,
+or one reduction over more than 256 terms, let them vary. A one-row product
+goes to GEMV, which sums in another order, so ``forward`` contracts one
+column as the first of two rows and ``step`` gives one record a zero second
+row. So the training forward, the evaluation forward and streaming agree
+bit for bit. ``forward`` runs a long record chunk by chunk through one
+reused gather.
+The backward pass runs on BLAS too: each of its GEMMs has time as its row
+axis or its reduction and sums at most ``_GRAD_CHUNK`` terms. OpenBLAS
+threads split a GEMM's columns when it has no more rows than columns and
+then sum each share's last block in another order, so this keeps trained
+bits off the thread count where hidden sizes are multiples of 8. The weight
+gradient's GEMMs, one per record, tap and time chunk, are added over records
+in order and the chunks in time order.
 """
 
 import math
@@ -35,8 +38,8 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh")
 NORM_KINDS = ("batch", "weight", "none")
 # columns per contraction of the conv forward's reused (tap, channel) gather
 _FORWARD_CHUNK = 1024
-# terms per reduction of a training or backward GEMM: within one BLAS
-# reduction block, so the GEMM sums in the same order at any thread count
+# terms per reduction of a conv GEMM: within one BLAS reduction block, so
+# the GEMM sums in the same order at any thread count
 _GRAD_CHUNK = 128
 
 
@@ -166,11 +169,14 @@ def chain_receptive_field(layers):
 
 
 def _gemm_rows(a, b):
-    """``a @ b`` for a (B, T, M) ``a``: one GEMM, time as its row axis, per record
-    and chunk of at most _GRAD_CHUNK of the M terms, the chunks added in order."""
-    out = a[:, :, :_GRAD_CHUNK] @ b[:_GRAD_CHUNK]
-    for s in range(_GRAD_CHUNK, b.shape[0], _GRAD_CHUNK):
-        out += a[:, :, s:s + _GRAD_CHUNK] @ b[s:s + _GRAD_CHUNK]
+    """``a @ b`` for a (..., N, M) ``a``: one GEMM of N rows (time, or records
+    in a streaming step) per record and chunk of at most _GRAD_CHUNK of the
+    M terms, the chunks added in order."""
+    if len(b) <= _GRAD_CHUNK:
+        return a @ b    # the same GEMM, without the cost of slicing views
+    out = a[..., :_GRAD_CHUNK] @ b[:_GRAD_CHUNK]
+    for s in range(_GRAD_CHUNK, len(b), _GRAD_CHUNK):
+        out += a[..., s:s + _GRAD_CHUNK] @ b[s:s + _GRAD_CHUNK]
     return out
 
 
@@ -224,52 +230,46 @@ class CausalConv1d(Layer):
                 f"conv expects (batch, {self.in_channels}, time), got {x.shape}"
             )
 
+    def _kernel_matrix(self, w):
+        """Kernel ``w`` as the (K*C, O8) GEMM operand: row i*C + c holds tap i
+        of input channel c; O8 is O rounded up to a multiple of 8, and the
+        columns past O are zero."""
+        m = self.kernel_size * self.in_channels
+        mat = np.zeros((m, -(-self.out_channels // 8) * 8))
+        mat[:, :self.out_channels] = w.transpose(2, 1, 0).reshape(m, -1)
+        return mat
+
     def forward(self, x, training=False):
         self._check_input(x)
-        b_sz, _, t_len = x.shape
+        b_sz, c, t_len = x.shape
         pad = (self.kernel_size - 1) * self.dilation
-        if pad:
-            xpad = np.concatenate(
-                [np.zeros((b_sz, self.in_channels, pad)), x], axis=2
-            )
-        else:
-            xpad = x
+        cols = t_len + (t_len == 1)   # one column is the first of two rows
+        xpad = x
+        if pad or cols > t_len:
+            xpad = np.zeros((b_sz, c, pad + cols))
+            xpad[:, :, pad:pad + t_len] = x
         w = self.effective_weight()
         self._cache = (xpad, w, t_len) if training else None
-        if t_len == 1:
-            # one column is contracted as the first of two, with an inert zero
-            # right column (the conv is causal), so time stays the inner loop
-            xpad = np.concatenate([xpad, np.zeros_like(x)], axis=2)
-        cols = max(t_len, 2)
-        w_flat = w.transpose(0, 2, 1).reshape(self.out_channels, -1)
+        kmat = self._kernel_matrix(w)
         out = np.empty((b_sz, self.out_channels, cols))
-        if self.kernel_size == 1:
-            self._contract(w_flat, xpad, out, training)
-        else:
-            # near-equal chunks of at most _FORWARD_CHUNK columns, each >= 2
-            # wide, so time stays the einsum's inner loop
-            n_chunks = -(-cols // _FORWARD_CHUNK)
-            bounds = [cols * j // n_chunks for j in range(n_chunks + 1)]
-            c = self.in_channels
-            buf = np.empty((b_sz, self.kernel_size * c, -(-cols // n_chunks)))
-            for s, e in zip(bounds[:-1], bounds[1:]):
+        # near-equal chunks of at most _FORWARD_CHUNK columns, each >= 2 wide
+        # so that no GEMM has one row
+        n_chunks = max(1, -(-cols // _FORWARD_CHUNK))
+        bounds = [cols * j // n_chunks for j in range(n_chunks + 1)]
+        buf = np.empty((b_sz, self.kernel_size * c, -(-cols // n_chunks)))
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            if self.kernel_size == 1:
+                gather = xpad[:, :, s:e]
+            else:
                 # tap i's slice fills rows i*C to (i+1)*C of the gather
                 gather = buf[:, :, :e - s]
                 for i in range(self.kernel_size):
                     start = pad - i * self.dilation + s
                     gather[:, i * c:(i + 1) * c] = xpad[:, :, start:start + e - s]
-                self._contract(w_flat, gather, out[:, :, s:e], training)
+            rows = _gemm_rows(gather.transpose(0, 2, 1), kmat)
+            out[:, :, s:e] = rows[:, :, :self.out_channels].transpose(0, 2, 1)
         out += self.params["b"][None, :, None]
         return out[:, :, :t_len]
-
-    @staticmethod
-    def _contract(w_flat, gather, out, training):
-        """out = w_flat @ gather per record; in training as (T, K*C) @ (K*C, O)."""
-        if training:
-            rows = _gemm_rows(gather.transpose(0, 2, 1), np.ascontiguousarray(w_flat.T))
-            out[...] = rows.transpose(0, 2, 1)
-        else:
-            np.einsum("om,bmt->bot", w_flat, gather, out=out)
 
     def backward(self, grad):
         xpad, w, t_len = self._training_cache(self._cache)
@@ -308,45 +308,41 @@ class CausalConv1d(Layer):
     def begin_stream(self, batch_size):
         """Zero history for ``batch_size`` records: a ring buffer of the last
         RF input columns, (B, RF, C), and a (RF, K) table of the slots taps
-        0..K-1 read when the newest column is in slot p. The kernel and the
-        bias are frozen as a C-order (K*C+1, O) matrix whose last row is the
-        bias, read against a constant 1.0 at the end of a flat (B, K*C+1)
-        gather; a zero second column when O == 1 keeps the output channels
-        the einsum's inner loop."""
+        0..K-1 read when the newest column is in slot p. The kernel matrix
+        and the bias are frozen; the flat (max(B, 2), K*C) gather keeps a
+        zero second row when B == 1."""
         rf = self.receptive_field
         m = self.kernel_size * self.in_channels
-        w_cols = np.zeros((m + 1, max(self.out_channels, 2)))
-        w_cols[:m, :self.out_channels] = self.effective_weight().transpose(
-            2, 1, 0).reshape(-1, self.out_channels)
-        w_cols[m, :self.out_channels] = self.params["b"]
-        self._w_cols = w_cols
+        self._kmat = self._kernel_matrix(self.effective_weight())
+        self._bias = self.params["b"].copy()
         self._ring = np.zeros((batch_size, rf, self.in_channels))
         self._pos = 0
         taps = self.dilation * np.arange(self.kernel_size)
         self._slots = (np.arange(rf)[:, None] - taps) % rf
-        self._flat = np.ones((batch_size, m + 1))
-        self._gather = self._flat[:, :m].reshape(
+        self._flat = np.zeros((max(batch_size, 2), m))
+        self._gather = self._flat[:batch_size].reshape(
             batch_size, self.kernel_size, self.in_channels)
 
     def step(self, col):
         """One (B, O, 1) output column per (B, C, 1) input column: one
-        ``take`` gathers the K taps from the ring, one einsum contracts them
-        and adds the bias as its last term, 1.0 * b, so the sum is the
-        ``forward`` sum followed by ``+= b``."""
+        ``take`` gathers the K taps from the ring into the rows of the
+        ``forward`` GEMM, records in place of time, and the bias is added
+        after it, so each row sums as ``forward`` does."""
         ring = self._ring
         if ring is None:
             raise ParameterError("step called before begin_stream")
-        if col.shape != (ring.shape[0], self.in_channels, 1):
+        b_sz = ring.shape[0]
+        if col.shape != (b_sz, self.in_channels, 1):
             raise DimensionError(
-                f"conv step expects ({ring.shape[0]}, {self.in_channels}, 1), "
+                f"conv step expects ({b_sz}, {self.in_channels}, 1), "
                 f"got {col.shape}")
         self._pos = pos = (self._pos + 1) % ring.shape[1]
         ring[:, pos] = col[:, :, 0]
         # the slots are in range; unlike "raise", "clip" makes take write
-        # into a contiguous out (the whole gather when B == 1) unbuffered
+        # into the contiguous gather unbuffered
         ring.take(self._slots[pos], axis=1, out=self._gather, mode="clip")
-        out = np.einsum("mo,bm->bo", self._w_cols, self._flat)
-        return out[:, :self.out_channels, None]
+        out = _gemm_rows(self._flat, self._kmat)[:b_sz, :self.out_channels]
+        return (out + self._bias)[:, :, None]
 
 
 def _sigmoid(x):

@@ -10,10 +10,10 @@ history at the start), so its output aligns index-for-index with y.
 ``simulate_free_run`` replaces the measured outputs in the feedback channels
 with the model's own past predictions, evaluating one time step at a time for
 a whole batch of records; each layer keeps only the state that step needs.
-``layers.CausalConv1d`` alone owns the einsum layout rules that keep its
-streaming step bitwise equal to ``forward``, the bias included: it is the
-step einsum's last term, where ``forward`` adds it after its einsum. The
-streamed columns are plain C-order arrays.
+``layers.CausalConv1d`` alone owns the GEMM layout rules that keep its
+streaming step bitwise equal to ``forward``: both run the same GEMM on the
+same kernel matrix, rows of records in place of rows of time, and add the
+bias after it. The streamed columns are plain C-order arrays.
 
 All three families are one ``SequenceNet``: a chain of stages (TCN residual
 blocks, MLP dense layers or stacked ``LstmLayer``s, whose forward and

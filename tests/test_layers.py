@@ -4,8 +4,8 @@ import pytest
 from sysident import Rng
 from sysident.errors import DataError, DimensionError, ParameterError
 from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dropout,
-                             ResidualBlock, _sigmoid, weight_norm_backward,
-                             weight_norm_forward)
+                             ResidualBlock, _gemm_rows, _sigmoid,
+                             weight_norm_backward, weight_norm_forward)
 from sysident.models import LstmLayer
 
 from gradcheck import check_model_gradients, numerical_gradient, relative_error
@@ -131,22 +131,19 @@ class TestCausalConv:
         return mag.forward(np.abs(x))
 
     def test_training_forward_agrees_with_evaluation_forward(self):
-        # K*C = 132 terms reduce as 128 + 4 in each GEMM of a training
-        # forward; evaluation contracts the 1 100 columns in two einsums
+        # K*C = 132 terms reduce as 128 + 4 in each GEMM, over 1 100 columns
+        # in two time chunks; both modes run the one contraction
         rng = Rng(16)
         conv = CausalConv1d(33, 130, 4, 3, rng)
         conv.params["b"][...] = rng.gaussian(130)
         x = rng.gaussian((2, 33, 1100))
-        scale = self._magnitude(conv, conv.params["W"], conv.params["b"], x)
-        diff = conv.forward(x, training=True) - conv.forward(x)
-        assert np.all(np.abs(diff) <= 1e-12 * scale)
+        assert conv.forward(x, training=True).tobytes() == conv.forward(x).tobytes()
 
     def test_backward_matches_finite_differences_past_the_chunks(self):
         # at the shape above, whose input gradient also reduces 130 output
         # channels as 128 + 2: <g, out> is linear in each of x, W and b, so
         # its central difference along a direction d (step 1) equals the
-        # directional derivative up to rounding; the evaluation einsum is
-        # the forward
+        # directional derivative up to rounding
         rng = Rng(17)
         conv = CausalConv1d(33, 130, 4, 3, rng)
         w, b = conv.params["W"], conv.params["b"]
@@ -173,9 +170,9 @@ class TestCausalConv:
 
     @pytest.mark.parametrize("kernel", [1, 3])
     def test_one_column_is_first_of_two(self, kernel):
-        # an einsum over one output column may sum in another order than over
-        # two; the conv contracts two either way, so one-sample records see
-        # the bits of longer ones and of streaming
+        # BLAS may sum a one-row product (a GEMV) in another order than a
+        # GEMM; the conv contracts two rows either way, so one-sample records
+        # see the bits of longer ones and of streaming
         rng = Rng(12)
         for batch in (1, 4):
             conv = CausalConv1d(24, 5, kernel, 2, rng)
@@ -184,30 +181,26 @@ class TestCausalConv:
             two = conv.forward(np.concatenate([x, np.zeros_like(x)], axis=2))
             assert conv.forward(x).tobytes() == two[:, :, :1].tobytes()
 
-    def test_chunked_forward_bytes_equal_one_einsum(self, monkeypatch):
+    @pytest.mark.parametrize("out_channels", [4, 9])
+    def test_chunked_forward_bytes_equal_one_gemm(self, out_channels):
         # 3 000 columns are contracted as three chunks of 1 000, and the
-        # first 24 outputs of each later chunk read taps of the one before
+        # first 24 outputs of each later chunk read taps of the one before;
+        # the oracle is one time-major (3 000, K*C) GEMM per record, its
+        # kernel matrix zero-padded to 8 or 16 columns
         rng = Rng(15)
-        conv = CausalConv1d(6, 4, 4, 8, rng)
+        conv = CausalConv1d(6, out_channels, 4, 8, rng)
         w, b = conv.params["W"], conv.params["b"]
-        b[...] = rng.gaussian(4)
+        b[...] = rng.gaussian(out_channels)
         x = rng.gaussian((2, 6, 3000))
         xpad = np.concatenate([np.zeros((2, 6, 24)), x], axis=2)
         gather = np.concatenate([xpad[:, :, 24 - 8 * i:3024 - 8 * i]
                                  for i in range(4)], axis=1)
-        oracle = np.einsum("om,bmt->bot",
-                           w.transpose(0, 2, 1).reshape(4, -1), gather)
-        oracle += b[None, :, None]
-        calls = []
-        einsum = np.einsum
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counted)
-        assert conv.forward(x).tobytes() == oracle.tobytes()
-        assert len(calls) == 3
+        kmat = np.zeros((24, -(-out_channels // 8) * 8))
+        kmat[:, :out_channels] = w.transpose(2, 1, 0).reshape(24, -1)
+        rows = _gemm_rows(np.ascontiguousarray(gather.transpose(0, 2, 1)), kmat)
+        oracle = rows[:, :, :out_channels].transpose(0, 2, 1) + b[None, :, None]
+        for training in (False, True):
+            assert conv.forward(x, training).tobytes() == oracle.tobytes()
 
     def test_output_length_equals_input_length(self):
         conv = CausalConv1d(1, 4, 5, 3, Rng(0))
@@ -233,44 +226,29 @@ class TestCausalConv:
         return np.concatenate([conv.step(x[:, :, t:t + 1])
                                for t in range(x.shape[2])], axis=2)
 
-    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 10])
     @pytest.mark.parametrize("weight_norm", [False, True])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("kernel", [1, 2, 4, 16])
     def test_stream_equals_forward_bytes(self, kernel, dilation, weight_norm,
                                          batch):
+        # output counts that are no multiple of 8, and 33 or 65 input
+        # channels, whose K*C (132 and 260 at kernel 4) reduce over more
+        # than one 128-term chunk
         rng = Rng(9)
-        for out_channels in (1, 2, 3):
-            conv = CausalConv1d(5, out_channels, kernel, dilation, rng,
-                                weight_norm=weight_norm)
+        shapes = [(5, o) for o in (1, 2, 3, 7, 9, 33, 100)] + [(33, 9), (65, 100)]
+        for in_channels, out_channels in shapes:
+            conv = CausalConv1d(in_channels, out_channels, kernel, dilation,
+                                rng, weight_norm=weight_norm)
             conv.params["b"][...] = rng.gaussian(out_channels)
             # long enough for the ring buffer's slot pointer to wrap twice
-            x = rng.gaussian((batch, 5, 2 * conv.receptive_field + 3))
+            x = rng.gaussian((batch, in_channels, 2 * conv.receptive_field + 3))
             full = conv.forward(x)
             streamed = self._stream(conv, x)
             assert streamed.tobytes() == full.tobytes()
             for row in range(batch):
                 alone = self._stream(conv, x[row:row + 1])
                 assert alone.tobytes() == streamed[row:row + 1].tobytes()
-
-    @pytest.mark.parametrize("kernel", [1, 4])
-    def test_one_einsum_per_conv_call(self, monkeypatch, kernel):
-        calls = []
-        einsum = np.einsum
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counted)
-        conv = CausalConv1d(3, 2, kernel, 2, Rng(10))
-        x = Rng(11).gaussian((2, 3, 6))
-        conv.forward(x)
-        assert len(calls) == 1
-        conv.begin_stream(2)
-        for t in range(6):
-            conv.step(x[:, :, t:t + 1])
-        assert len(calls) == 7
 
     @pytest.mark.parametrize("name", ["W", "b"])
     def test_parameters_frozen_at_begin_stream(self, name):

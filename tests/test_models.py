@@ -255,6 +255,27 @@ class TestPredictRecords:
         for layer in model.chain:
             assert all(id(a) in own for a in held_arrays(layer))
 
+    @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
+    def test_zero_length_record_predicts_empty(self, family):
+        # a 0-sample record gets a (ny, 0) prediction in both modes, and
+        # the record next to it is predicted as it is alone
+        model = build_model(ModelConfig(family=family, hidden=4), Rng(58))
+        records = [narx_record(59, 0), narx_record(60, 5)]
+        for mode in models.MODES:
+            preds = predict_records(model, records, mode)
+            assert [p.shape for p in preds] == [(1, 0), (1, 5)]
+            alone = predict_records(model, records[1:], mode)[0]
+            assert preds[1].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
+    def test_all_empty_dataset_rejected(self, family):
+        model = build_model(ModelConfig(family=family, hidden=4), Rng(61))
+        data = Dataset(records=[narx_record(62, 0), narx_record(63, 0)],
+                       role="test")
+        for mode in models.MODES:
+            with pytest.raises(DataError, match="empty"):
+                evaluate(model, data, mode=mode)
+
     def test_unknown_mode_rejected(self):
         model = build_model(ModelConfig(family="lstm", hidden=3), Rng(46))
         with pytest.raises(DataError, match="unknown evaluation mode"):

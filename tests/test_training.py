@@ -433,6 +433,34 @@ print("lstm", h.hexdigest())
 """
 
 
+# conv-model evaluation, which runs on BLAS as training does: one-step and
+# batched free-run of three 100-sample records and two 3 000-sample ones, at
+# hidden sizes that are and are not multiples of 8 (tanh keeps the fed-back
+# predictions bounded); prints one sha256 per model and mode
+_THREADED_EVAL = """
+import hashlib
+from sysident import ModelConfig, Rng, SequenceRecord, build_model
+from sysident.models import MODES, predict_records
+
+TCN = dict(family="tcn", depth=3, kernel_size=3, dilations=True,
+           activation="tanh")
+for seed, kw in enumerate((
+        dict(TCN, hidden=64), dict(TCN, hidden=100),
+        dict(family="mlp", hidden=64, order=16, depth=2, activation="tanh"),
+        dict(TCN, nu=2, ny=3, hidden=128))):
+    model = build_model(ModelConfig(**kw), Rng(seed))
+    c = model.config
+    rng = Rng(seed + 10)
+    records = [SequenceRecord(rng.gaussian((c.nu, t)), rng.gaussian((c.ny, t)))
+               for t in (100, 100, 100, 3000, 3000)]
+    for mode in MODES:
+        h = hashlib.sha256()
+        for pred in predict_records(model, records, mode):
+            h.update(pred.tobytes())
+        print(kw["family"], c.hidden, mode, h.hexdigest())
+"""
+
+
 def _digests_at_thread_counts(script):
     """The script's output lines at 1 and at 2 BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -458,4 +486,10 @@ def test_gradients_independent_of_blas_thread_count():
 def test_lstm_one_step_independent_of_blas_thread_count():
     digests = _digests_at_thread_counts(_THREADED_ONE_STEP)
     assert len(digests[0]) == 1
+    assert digests[0] == digests[1]
+
+
+def test_conv_evaluation_independent_of_blas_thread_count():
+    digests = _digests_at_thread_counts(_THREADED_EVAL)
+    assert len(digests[0]) == 8
     assert digests[0] == digests[1]
