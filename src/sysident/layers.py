@@ -345,16 +345,20 @@ class CausalConv1d(Layer):
         return (out + self._bias)[:, :, None]
 
 
-def _sigmoid(x):
-    # stable logistic without branches: with e = exp(-|x|), 1 / (1 + e) for
-    # x >= 0 and e / (1 + e) for x < 0. Negation is exact and addition
-    # commutes, so every element gets the bits of the two-branch formula
-    # (the oracle in tests/conftest.py); exp runs on a contiguous array
+def _sigmoid(x, out=None):
+    # stable logistic without branches or masks: num / (1 + e) with
+    # e = exp(-|x|) and num = exp(min(x, 0)), which is e for x < 0 and exactly
+    # 1 otherwise. Negation is exact and addition commutes, so every element
+    # gets the bits of the two-branch formula (the oracle in
+    # tests/conftest.py). ``out``, like numpy's, receives the result and is
+    # returned; x is never written
     e = np.empty(np.shape(x))   # an array even for 0-d x, so out= works
+    num = np.empty_like(e) if out is None else out
     np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(x >= 0, 1.0, e)
+    np.minimum(x, 0.0, out=num)
+    np.exp(num, out=num)
     return np.divide(num, np.add(e, 1.0, out=e), out=num)
 
 

@@ -17,7 +17,9 @@ bias after it. The streamed columns are plain C-order arrays.
 
 All three families are one ``SequenceNet``: a chain of stages (TCN residual
 blocks, MLP dense layers or stacked ``LstmLayer``s, whose forward and
-streaming step share one cell update) and a 1x1 output map.
+streaming step share one cell update) and a 1x1 output map. An LSTM layer
+takes and returns (batch, channels, time) like every stage, but runs
+feature-major inside: its gates are contiguous (hidden, batch) blocks.
 """
 
 import base64
@@ -181,36 +183,41 @@ def _output_map(c, rng):
     return CausalConv1d(c.hidden, c.ny, 1, 1, rng, init="glorot")
 
 
-def _lstm_cell(z, c_prev, g, c, tc, h):
-    """One LSTM cell update from pre-activations z (gates i, f, g, o): writes
-    g, c, tanh(c) and h into the given arrays and returns the gates."""
-    hid = g.shape[1]
-    s = _sigmoid(z)   # one call over all 4H; the g slice goes unused
-    np.tanh(z[:, 2 * hid:3 * hid], out=g)
-    np.add(s[:, hid:2 * hid] * c_prev, s[:, :hid] * g, out=c)
-    np.multiply(s[:, 3 * hid:], np.tanh(c, out=tc), out=h)
-    return s
+def _lstm_cell(z, c_prev, s, g, c, tc, h):
+    """One LSTM cell update from the (4H, B) pre-activation z, gate blocks
+    i, f, g, o: writes the sigmoids of z, g, c, tanh(c) and h into the given
+    arrays. ``c`` may be ``c_prev``."""
+    hid = len(g)
+    _sigmoid(z, out=s)   # one call over all 4H; the g block goes unused
+    np.tanh(z[2 * hid:3 * hid], out=g)
+    np.multiply(s[:hid], g, out=tc)     # i * g, with tc as scratch
+    np.multiply(s[hid:2 * hid], c_prev, out=c)
+    c += tc
+    np.multiply(s[3 * hid:], np.tanh(c, out=tc), out=h)
 
 
 class LstmLayer(Layer):
     """One LSTM layer over (batch, channels, time).
 
-    The Python time loop holds only what depends on the previous step:
-    ``h @ Wh.T``, the gates and the cell update going forward, ``dz @ Wh``
-    and the elementwise adjoint going backward. All else runs once per time
-    chunk of at most ``_TIME_CHUNK`` steps: the input projection (one
-    stacked matmul over a contiguous (n, B, C) block), the ``Wx``, ``Wh``
-    and ``b`` gradients, the input gradient and the ``1 - tc*tc``, ``1 - s``
-    and ``1 - g*g`` factors. The bits do not depend on the chunk length: a
+    Inside, the layer is feature-major: a step's pre-activation is
+    z = Wh @ h + Wx @ x + b, a (4H, B) array whose gates i, f, g, o are
+    contiguous (H, B) blocks, and h and c are (H, B). The Python time loop
+    holds only what depends on the previous step: ``Wh @ h``, the gates and
+    the cell update going forward, ``Wh.T @ dz`` and the elementwise adjoint
+    going backward, all written into arrays allocated once per call. All
+    else runs once per time chunk of at most ``_TIME_CHUNK`` steps: the input
+    projection (one stacked matmul over a contiguous (n, C, B) block), the
+    ``Wx``, ``Wh`` and ``b`` gradients, the input gradient and the adjoint's
+    elementwise factors. The bits do not depend on the chunk length: a
     stacked matmul runs each step's GEMM as a per-step call would, each
     weight gradient adds its per-step products in reverse time order (one
     sequential reduce over [running sum, newest, ..., oldest]), and the
     factors are elementwise. ``forward``'s loop and ``step`` share the cell
     update ``_lstm_cell`` and sum its pre-activation alike, so ``forward``
     equals ``step`` over its columns bit for bit. A training forward keeps
-    (T, B, .) arrays of inputs, states and gates for BPTT; an evaluation
+    (T, ., B) arrays of inputs, states and gates for BPTT; an evaluation
     forward keeps none, and writes the inputs one chunk and the gates and c
-    one row at a time.
+    one step at a time.
 
     ``drop``, set on every layer but the top one of a stack and listed in
     ``children``, is inverted dropout on the layer's output, drawn once as a
@@ -229,7 +236,7 @@ class LstmLayer(Layer):
                                           hidden, hidden, "glorot"))
         self._register("b", np.zeros(4 * hidden))
         self.drop = None
-        self._steps = None     # the arrays BPTT reads, each (T, B, .)
+        self._steps = None     # the arrays BPTT reads, each (T, ., B)
         self._state = None
 
     @property
@@ -245,28 +252,28 @@ class LstmLayer(Layer):
         hid = self.hidden
         self._steps = None
         rows = t_len if training else 1     # evaluation reuses row 0
-        xs = np.empty((t_len if training else _TIME_CHUNK, b_sz, self.in_size))
-        hs = np.zeros((t_len + 1, b_sz, hid))     # h before each step, and after
-        cs = np.zeros((rows + training, b_sz, hid))   # c likewise; row 0 in evaluation
-        s_all, g_all, tc_all = (np.empty((rows, b_sz, n)) for n in (4 * hid, hid, hid))
-        # b as a (B, 4H) array: a plain add is faster than a broadcast one
-        w_h_t, b = self.params["Wh"].T, np.tile(self.params["b"], (b_sz, 1))
-        z = np.empty((b_sz, 4 * hid))
-        xw = np.empty((_TIME_CHUNK, b_sz, 4 * hid))
+        xs = np.empty((t_len if training else _TIME_CHUNK, self.in_size, b_sz))
+        hs = np.zeros((t_len + 1, hid, b_sz))     # h before each step, and after
+        cs = np.zeros((rows + training, hid, b_sz))   # c likewise; row 0 in evaluation
+        s_all, g_all, tc_all = (np.empty((rows, n, b_sz)) for n in (4 * hid, hid, hid))
+        # b as a (4H, B) array: a plain add is faster than a broadcast one
+        w_h, b = self.params["Wh"], np.repeat(self.params["b"][:, None], b_sz, 1)
+        z = np.empty((4 * hid, b_sz))
+        xw = np.empty((_TIME_CHUNK, 4 * hid, b_sz))
         for t0 in range(0, t_len, _TIME_CHUNK):
             n = min(_TIME_CHUNK, t_len - t0)
             x_c = xs[t0:t0 + n] if training else xs[:n]
-            np.copyto(x_c, x[:, :, t0:t0 + n].transpose(2, 0, 1))
-            np.matmul(x_c, self.params["Wx"].T, out=xw[:n])
+            np.copyto(x_c, x[:, :, t0:t0 + n].transpose(2, 1, 0))
+            np.matmul(self.params["Wx"], x_c, out=xw[:n])
             for t, xw_t in enumerate(xw[:n], t0):
                 j, k = (t, t + 1) if training else (0, 0)
-                np.matmul(hs[t], w_h_t, out=z)
+                np.dot(w_h, hs[t], out=z)    # dot: less call overhead than matmul
                 z += xw_t
                 z += b
-                s_all[j] = _lstm_cell(z, cs[j], g_all[j], cs[k], tc_all[j], hs[t + 1])
+                _lstm_cell(z, cs[j], s_all[j], g_all[j], cs[k], tc_all[j], hs[t + 1])
         if training:
             self._steps = (xs, hs, cs, s_all, g_all, tc_all)
-        out = hs[1:]
+        out = hs[1:].transpose(0, 2, 1)     # (T, B, H)
         if self.drop is not None:
             # one (T, B, H) draw fills the stream as T (B, H) draws would
             out = self.drop.forward(out, training)
@@ -274,69 +281,83 @@ class LstmLayer(Layer):
 
     def backward(self, grad):
         xs, hs, cs, s_all, g_all, tc_all = self._training_cache(self._steps)
-        t_len, b_sz, hid = g_all.shape
-        w_x, w_h = self.params["Wx"], self.params["Wh"]
-        f_all, o_all = s_all[:, :, hid:2 * hid], s_all[:, :, 3 * hid:]
-        down = grad.transpose(2, 0, 1)
+        t_len, hid, b_sz = g_all.shape
+        w_x, w_h_t = self.params["Wx"], np.ascontiguousarray(self.params["Wh"].T)
+        down = grad.transpose(2, 0, 1)      # (T, B, H), as the dropout mask
         if self.drop is not None:
             down = self.drop.backward(down)
         d_xs = np.empty_like(xs)
-        d_h = d_c = np.zeros((b_sz, hid))
-        d_s = np.empty((b_sz, 4, hid))     # dL/d(gate) in gate order i, f, g, o
-        d_s_flat = d_s.reshape(b_sz, 4 * hid)
-        dz = np.empty((_TIME_CHUNK, b_sz, 4 * hid))    # newest step first
+        d_h, d_c, d_ht, d_ct = np.zeros((4, hid, b_sz))
+        down_c = np.empty((_TIME_CHUNK, hid, b_sz))
+        dz = np.empty((_TIME_CHUNK, 4 * hid, b_sz))    # newest step first
+        dz4 = dz.reshape(_TIME_CHUNK, 4, hid, b_sz)
         stacks = {k: np.empty((_TIME_CHUNK + 1, *g.shape))
                   for k, g in self.grads.items()}
         for hi in range(t_len, 0, -_TIME_CHUNK):
             lo = max(hi - _TIME_CHUNK, 0)
-            s_c, g_c, tc_c = s_all[lo:hi], g_all[lo:hi], tc_all[lo:hi]
-            # d_c scales g, c_prev and i into the i, f and g slots, d_h tc into o
-            by = np.stack((g_c, cs[lo:hi], s_c[:, :, :hid], tc_c), axis=2)
-            # dz = d_s * s * (1 - s), and d_s * 1 * (1 - g*g) in the g slot
-            gate, slope = s_c.copy(), 1.0 - s_c
-            gate[:, :, 2 * hid:3 * hid] = 1.0
-            slope[:, :, 2 * hid:3 * hid] = 1.0 - g_c * g_c
-            one_minus_tc2 = 1.0 - tc_c * tc_c
+            n = hi - lo
+            np.copyto(down_c[:n], down[lo:hi].transpose(0, 2, 1))
+            s4 = s_all[lo:hi].reshape(n, 4, hid, b_sz)     # gate blocks i, f, g, o
+            g_c, tc_c = g_all[lo:hi], tc_all[lo:hi]
+            # dz is d_c * (g, c_prev, i) in the i, f and g blocks and d_h * tc
+            # in the o block, times the gate's slope: s * (1 - s), or
+            # 1 - g*g in the g block
+            coef = s4 * (1.0 - s4)
+            np.subtract(1.0, g_c * g_c, out=coef[:, 2])
+            coef[:, 0] *= g_c
+            coef[:, 1] *= cs[lo:hi]
+            coef[:, 2] *= s4[:, 0]
+            coef[:, 3] *= tc_c
+            o_slope = s4[:, 3] * (1.0 - tc_c * tc_c)    # d_c gains d_h * o_slope
             for t in range(hi - 1, lo - 1, -1):
-                k = t - lo
-                d_ht = d_h + down[t]
-                d_ct = d_c + d_ht * o_all[t] * one_minus_tc2[k]
-                np.multiply(d_ct[:, None], by[k, :, :3], out=d_s[:, :3])
-                np.multiply(d_ht, by[k, :, 3], out=d_s[:, 3])
-                dz_t = np.multiply(d_s_flat, gate[k], out=dz[hi - 1 - t])
-                dz_t *= slope[k]
-                d_h = dz_t @ w_h
-                d_c = d_ct * f_all[t]
-            dz_c = dz[:hi - lo]
+                k, r = t - lo, hi - 1 - t
+                np.add(d_h, down_c[k], out=d_ht)
+                np.multiply(d_ht, o_slope[k], out=d_ct)
+                d_ct += d_c
+                np.multiply(d_ct, coef[k, :3], out=dz4[r, :3])
+                np.multiply(d_ht, coef[k, 3], out=dz4[r, 3])
+                np.dot(w_h_t, dz[r], out=d_h)
+                np.multiply(d_ct, s4[k, 1], out=d_c)
+            dz_c = dz[:n]
             for name, inputs in (("Wx", xs), ("Wh", hs), ("b", None)):
-                stack = stacks[name][:hi - lo + 1]
+                stack = stacks[name][:n + 1]
                 stack[0] = self.grads[name]
                 if inputs is None:
-                    np.add.reduce(dz_c, axis=1, out=stack[1:])
+                    np.add.reduce(dz_c, axis=2, out=stack[1:])
                 else:
-                    np.matmul(dz_c.transpose(0, 2, 1), inputs[lo:hi][::-1],
+                    np.matmul(dz_c, inputs[lo:hi][::-1].transpose(0, 2, 1),
                               out=stack[1:])
                 np.add.reduce(stack, axis=0, out=self.grads[name])
-            np.matmul(dz_c, w_x, out=d_xs[lo:hi][::-1])
-        return np.ascontiguousarray(d_xs.transpose(1, 2, 0))
+            np.matmul(w_x.T, dz_c, out=d_xs[lo:hi][::-1])
+        return np.ascontiguousarray(d_xs.transpose(2, 1, 0))
 
     def begin_stream(self, batch_size=1):
-        # h, c, and room for g and tanh(c); a step writes all but h in place
-        self._state = tuple(np.zeros((4, batch_size, self.hidden)))
+        # h and c, then room for the input column, Wx @ x, z, the gates, g
+        # and tanh(c); a step writes all but h in place
+        hid = self.hidden
+        self._state = (*np.zeros((2, hid, batch_size)),
+                       np.empty((self.in_size, batch_size)),
+                       *np.empty((3, 4 * hid, batch_size)),
+                       *np.empty((2, hid, batch_size)))
 
     def step(self, col):
         if self._state is None:
             raise ParameterError("step called before begin_stream")
-        h_prev, c, g, tc = self._state
-        if col.shape != (len(h_prev), self.in_size, 1):
-            raise DimensionError(f"lstm step expects ({len(h_prev)}, "
+        h_prev, c, x, xw, z, s, g, tc = self._state
+        b_sz = h_prev.shape[1]
+        if col.shape != (b_sz, self.in_size, 1):
+            raise DimensionError(f"lstm step expects ({b_sz}, "
                                  f"{self.in_size}, 1), got {col.shape}")
-        z = (h_prev @ self.params["Wh"].T + col[:, :, 0] @ self.params["Wx"].T
-             + self.params["b"])
-        h = np.empty_like(h_prev)
-        _lstm_cell(z, c, g, c, tc, h)
-        self._state = (h, c, g, tc)
-        return h[:, :, None]
+        # forward's sums, on x laid out as its inputs; np.dot costs less per
+        # call than matmul and gives the bits of forward's stacked matmul
+        np.copyto(x, col[:, :, 0].T)
+        np.dot(self.params["Wh"], h_prev, out=z)
+        z += np.dot(self.params["Wx"], x, out=xw)
+        z += self.params["b"][:, None]
+        h = np.empty_like(h_prev)   # new, so a returned column is never rewritten
+        _lstm_cell(z, c, s, g, c, tc, h)
+        self._state = (h, *self._state[1:])
+        return h.T[:, :, None]
 
 
 _STAGES = {"tcn": ("blocks", _tcn_blocks), "mlp": ("layers", _mlp_layers),

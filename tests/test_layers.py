@@ -324,7 +324,11 @@ class TestSigmoid:
         expected = oracle(x)
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
-        assert np.array_equal(x, before)
+        # out= writes the same bytes into the given array and returns it
+        given = np.full(x.shape, 7.0)
+        assert _sigmoid(x, out=given) is given
+        assert given.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()     # x is left unwritten
 
     @pytest.mark.parametrize("shape", [(1, 128), (10, 64, 1), (8, 64, 100)])
     @pytest.mark.parametrize("magnitude", MAGNITUDES)
@@ -344,9 +348,11 @@ class TestSigmoid:
         self.assert_matches_oracle(x, masked_sigmoid)
         assert np.array_equal(_sigmoid(x[:4]), [0.5, 0.5, 1.0, 0.0])
 
-    def test_nan_in_nan_out(self):
-        out = _sigmoid(np.array([np.nan, -1.0, np.nan, 2.0]))
+    def test_nan_in_nan_out(self, masked_sigmoid):
+        x = np.array([np.nan, -1.0, np.nan, 2.0])
+        out = _sigmoid(x)
         assert np.array_equal(np.isnan(out), [True, False, True, False])
+        self.assert_matches_oracle(x, masked_sigmoid)
 
     @pytest.mark.parametrize("value", [-3.5, 0.0, 2.25])
     def test_zero_dimensional_input(self, value, masked_sigmoid):
@@ -355,6 +361,21 @@ class TestSigmoid:
             out = _sigmoid(x)
             assert np.shape(out) == ()
             assert np.asarray(out).tobytes() == expected.tobytes()
+            given = np.empty(())
+            assert _sigmoid(x, out=given) is given
+            assert given.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("magnitude", MAGNITUDES)
+    def test_out_view_bytes_equal_masked_form(self, magnitude, masked_sigmoid):
+        # a strided view as out, as numpy's own out= takes
+        x = Rng(33).gaussian((8, 64, 50)) * magnitude
+        before = x.copy()
+        buf = np.zeros((8, 64, 100))
+        given = buf[:, :, ::2]
+        assert _sigmoid(x, out=given) is given
+        assert given.tobytes() == masked_sigmoid(x).tobytes()
+        assert not buf[:, :, 1::2].any()
+        assert x.tobytes() == before.tobytes()
 
 
 class TestDropout:

@@ -385,21 +385,21 @@ class TestLstmCell:
         cell = models.LstmLayer(2, hidden, Rng(15))
         cell.params["b"][hidden:2 * hidden] = 40.0     # forget gate pinned at 1
         cell.forward(Rng(16).gaussian((1, 2, 4)), training=True)
-        _, _, cs, s, g, _ = cell._steps
-        i = s[:, :, :hidden]
+        _, _, cs, s, g, _ = cell._steps     # each (T, ., B)
+        i = s[:, :hidden]
         assert np.allclose(cs[1:], cs[:-1] + i * g, atol=1e-12)
 
     def test_one_sigmoid_call_per_step(self, monkeypatch):
         calls = []
 
-        def counted(x):
+        def counted(x, out=None):
             calls.append(x.shape)
-            return _sigmoid(x)
+            return _sigmoid(x, out=out)
 
         monkeypatch.setattr(models, "_sigmoid", counted)
         model = build_model(ModelConfig(family="lstm", hidden=5, depth=2), Rng(20))
         model.forward(Rng(21).gaussian((3, 2, 7)))
-        assert calls == [(3, 20)] * 14     # depth 2 x 7 steps, all 4H at once
+        assert calls == [(20, 3)] * 14     # depth 2 x 7 steps, all 4H at once
 
     def test_cached_gates_equal_masked_sigmoid(self, masked_sigmoid):
         rng = Rng(22)
@@ -411,10 +411,10 @@ class TestLstmCell:
         xs, hs, _, s, _, _ = cell._steps
         w_x, w_h, b = cell.params["Wx"], cell.params["Wh"], cell.params["b"]
         for t in range(5):
-            z = hs[t] @ w_h.T + xs[t] @ w_x.T + b
+            z = w_h @ hs[t] + w_x @ xs[t] + b[:, None]
             for k in (0, 1, 3):     # gates i, f, o
-                gate = s[t, :, k * hidden:(k + 1) * hidden]
-                expected = masked_sigmoid(z[:, k * hidden:(k + 1) * hidden])
+                gate = s[t, k * hidden:(k + 1) * hidden]
+                expected = masked_sigmoid(z[k * hidden:(k + 1) * hidden])
                 assert gate.tobytes() == expected.tobytes()
 
     def test_bptt_matches_finite_differences_on_length_5(self):
@@ -464,11 +464,13 @@ class TestLstmCell:
         model = build_model(cfg, Rng(34))
         x = Rng(35).gaussian((3, 2, 6))
         model.forward(x, training=True)
-        # per time step and batch row: the input, h and c before the step
-        # (and after the last one), the gates, the candidate and tanh(c)
-        steps = [(6, 3), (7, 3), (7, 3), (6, 3), (6, 3), (6, 3)]
-        for cell in model.cells:
-            assert [a.shape[:2] for a in cell._steps] == steps
+        # per time step, feature and batch column: the input, h and c before
+        # the step (and after the last one), the gates, the candidate and
+        # tanh(c)
+        for cell, in_size in zip(model.cells, (2, 4)):
+            steps = [(6, in_size, 3), (7, 4, 3), (7, 4, 3), (6, 16, 3),
+                     (6, 4, 3), (6, 4, 3)]
+            assert [a.shape for a in cell._steps] == steps
         model.forward(x, training=False)
         for cell in model.cells:
             assert cell._steps is None
@@ -501,11 +503,13 @@ class TestLstmCell:
         expected = self._stepped_reference(cell, reference, x, training)
         assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_step_stream_equals_eval_forward(self, batch):
-        cell = models.LstmLayer(3, 5, Rng(60))
+    # one input channel makes the input projection an outer product
+    @pytest.mark.parametrize("batch, in_size", [(1, 3), (3, 3), (1, 1), (3, 1)],
+                             ids=["1", "3", "1-one_input", "3-one_input"])
+    def test_step_stream_equals_eval_forward(self, batch, in_size):
+        cell = models.LstmLayer(in_size, 5, Rng(60))
         cell.params["b"][...] = Rng(62).gaussian(20)    # zero at init
-        x = Rng(61).gaussian((batch, 3, 2 * models._TIME_CHUNK + 3))
+        x = Rng(61).gaussian((batch, in_size, 2 * models._TIME_CHUNK + 3))
         cell.begin_stream(batch)
         streamed = np.concatenate([cell.step(x[:, :, t:t + 1])
                                    for t in range(x.shape[2])], axis=2)

@@ -433,6 +433,18 @@ print("lstm", h.hexdigest())
 """
 
 
+# LSTM batched free-run of three records, whose streaming steps make a
+# Wh @ h and a Wx @ x GEMM with one column per record
+_THREADED_FREE_RUN = """
+import hashlib
+from sysident import ModelConfig, Rng, build_model, simulate_free_run
+
+model = build_model(ModelConfig(family="lstm", hidden=64, depth=2), Rng(5))
+yhat = simulate_free_run(model, Rng(6).gaussian((3, 1, 300)))
+print("lstm", yhat.shape, hashlib.sha256(yhat.tobytes()).hexdigest())
+"""
+
+
 # conv-model evaluation, which runs on BLAS as training does: one-step and
 # batched free-run of three 100-sample records and two 3 000-sample ones, at
 # hidden sizes that are and are not multiples of 8 (tanh keeps the fed-back
@@ -485,6 +497,12 @@ def test_gradients_independent_of_blas_thread_count():
 
 def test_lstm_one_step_independent_of_blas_thread_count():
     digests = _digests_at_thread_counts(_THREADED_ONE_STEP)
+    assert len(digests[0]) == 1
+    assert digests[0] == digests[1]
+
+
+def test_lstm_free_run_independent_of_blas_thread_count():
+    digests = _digests_at_thread_counts(_THREADED_FREE_RUN)
     assert len(digests[0]) == 1
     assert digests[0] == digests[1]
 
