@@ -218,6 +218,8 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
             raise SchemaError(f"empty dataset file: {path}") from None
         except UnicodeDecodeError as exc:
             raise _not_text_error(path, exc) from None
+        except csv.Error as exc:    # e.g. a cell past the csv field limit
+            raise SchemaError(f"malformed header in {path}: {exc}") from None
         header = [h.strip() for h in header]
         if u_cols is None:
             u_cols = [h for h in header if h.startswith("u")]
@@ -254,14 +256,7 @@ def load_csv_dataset(path, u_cols=None, y_cols=None, role="test"):
     segments = None
     meta_path = _meta_path(path)
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:   # not JSON, or not UTF-8 text
-                raise DataError(f"sidecar {meta_path} is not a JSON document: "
-                                f"{exc}") from None
-        if not isinstance(meta, dict):
-            raise DataError(f"sidecar {meta_path} is not a JSON object")
+        meta = read_json(meta_path, "sidecar")
         sample_rate = meta.get("sample_rate")
         # bool is no rate; NaN fails every comparison; json reads Infinity
         if sample_rate is not None and not (
@@ -318,6 +313,22 @@ def write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def read_json(path, what):
+    """The JSON object in the file at ``path``, which holds a ``what`` (the
+    name its errors give the file). A file that is not UTF-8 JSON, nests
+    deeper than the parser's recursion limit, or holds no object raises
+    DataError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{what} {path} is not a JSON document: "
+                            f"{exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} {path} is not a JSON object")
+    return doc
 
 
 def save_csv_dataset(dataset, path):

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import evaluate
+from .data import read_json
 from .errors import ConfigError, DataError, SysidentError
 from .models import MODES, ModelConfig, build_model, count_parameters
 from .tensor import Rng, derive_seed
@@ -47,16 +48,13 @@ def grid_expand(axes, base=None):
 def load_grid(path, nu, ny):
     """The expanded ModelConfigs of the grid file at ``path``.
 
-    The file is a JSON object with the required ``axes`` and an optional
-    ``base`` configuration; ``nu`` and ``ny`` (the data's channel counts)
-    apply unless ``base`` sets them. Any other key raises ConfigError.
+    The file is a JSON object (``data.read_json`` raises DataError
+    otherwise) with the required ``axes`` and an optional ``base``
+    configuration; ``nu`` and ``ny`` (the data's channel counts) apply
+    unless ``base`` sets them. Any other key raises ConfigError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:   # not JSON, or not UTF-8 text
-            raise ConfigError(f"grid file {path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or "axes" not in doc:
+    doc = read_json(path, "grid file")
+    if "axes" not in doc:
         raise ConfigError(f"grid file {path} has no 'axes' entry")
     unknown = sorted(set(doc) - {"axes", "base"})
     if unknown:
@@ -157,7 +155,7 @@ def _journal_load(path):
         try:
             cells = next(csv.reader([raw.decode("utf-8")]), None)
             row = GridRow.from_csv_row(cells) if cells else None
-        except (ValueError, IndexError, csv.Error) as exc:
+        except (ValueError, IndexError, RecursionError, csv.Error) as exc:
             if lineno < len(lines):
                 raise DataError(f"{path}: malformed journal line {lineno}") from exc
             torn = True

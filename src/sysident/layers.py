@@ -132,6 +132,12 @@ class Layer:
             raise ParameterError("backward called before forward (in training mode)")
         return cache
 
+    def _check_input(self, x, channels):
+        """Raise DimensionError unless ``x`` is (batch, ``channels``, time)."""
+        if x.ndim != 3 or x.shape[1] != channels:
+            raise DimensionError(f"{type(self).__name__} expects (batch, "
+                                 f"{channels}, time), got {x.shape}")
+
     def begin_stream(self, batch_size=1):
         for _, child in self.children:
             child.begin_stream(batch_size)
@@ -224,12 +230,6 @@ class CausalConv1d(Layer):
             return weight_norm_forward(self.params["v"], self.params["g"])
         return self.params["W"]
 
-    def _check_input(self, x):
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise DimensionError(
-                f"conv expects (batch, {self.in_channels}, time), got {x.shape}"
-            )
-
     def _kernel_matrix(self, w):
         """Kernel ``w`` as the (K*C, O8) GEMM operand: row i*C + c holds tap i
         of input channel c; O8 is O rounded up to a multiple of 8, and the
@@ -240,7 +240,7 @@ class CausalConv1d(Layer):
         return mat
 
     def forward(self, x, training=False):
-        self._check_input(x)
+        self._check_input(x, self.in_channels)
         b_sz, c, t_len = x.shape
         pad = (self.kernel_size - 1) * self.dilation
         cols = t_len + (t_len == 1)   # one column is the first of two rows
@@ -444,14 +444,8 @@ class BatchNorm(Layer):
                       "running_var": self.running_var}
         self._cache = None
 
-    def _check_input(self, x):
-        if x.ndim != 3 or x.shape[1] != self.channels:
-            raise DimensionError(
-                f"batch norm expects (batch, {self.channels}, time), got {x.shape}"
-            )
-
     def forward(self, x, training=False):
-        self._check_input(x)
+        self._check_input(x, self.channels)
         if training:
             if x.shape[0] * x.shape[2] < 2:
                 raise DataError(

@@ -23,13 +23,12 @@ feature-major inside: its gates are contiguous (hidden, batch) blocks.
 """
 
 import base64
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import SequenceRecord, write_json
+from .data import SequenceRecord, read_json, write_json
 from .errors import (ConfigError, DataError, DimensionError, ParameterError,
                      UnsupportedError)
 from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
@@ -46,15 +45,19 @@ _TIME_CHUNK = 16     # LSTM steps per stacked GEMM outside the recurrence
 _ACCEPTED_TYPES = {int: int, bool: bool, float: (int, float), str: str}
 
 
-def check_field_types(config):
+def check_fields(config, lower_bounds):
     """Raise ConfigError unless each field of the dataclass ``config`` holds
-    a value its annotated type accepts."""
+    a value its annotated type accepts and, if ``lower_bounds`` names the
+    field, at least its bound there."""
     for f in fields(config):
         value = getattr(config, f.name)
         if not isinstance(value, _ACCEPTED_TYPES[f.type]) or (
                 f.type is not bool and isinstance(value, bool)):
             raise ConfigError(f"{f.name} must be of type {f.type.__name__}, "
                               f"got {value!r}")
+        bound = lower_bounds.get(f.name)
+        if bound is not None and value < bound:
+            raise ConfigError(f"{f.name} must be >= {bound}, got {value}")
 
 
 @dataclass
@@ -75,16 +78,14 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, dict.fromkeys(
+            ("nu", "ny", "hidden", "depth", "kernel_size", "order"), 1))
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family '{self.family}'")
         if self.norm not in NORM_KINDS:
             raise ConfigError(f"unknown norm kind '{self.norm}'")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation '{self.activation}'")
-        for name in ("nu", "ny", "hidden", "depth", "kernel_size", "order"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -244,10 +245,7 @@ class LstmLayer(Layer):
         raise UnsupportedError("receptive field is unbounded for recurrent models")
 
     def forward(self, x, training=False):
-        if x.ndim != 3 or x.shape[1] != self.in_size:
-            raise DimensionError(
-                f"lstm expects (batch, {self.in_size}, time), got {x.shape}"
-            )
+        self._check_input(x, self.in_size)
         b_sz, _, t_len = x.shape
         hid = self.hidden
         self._steps = None
@@ -514,12 +512,8 @@ def save_checkpoint(model, path, normalization=None):
 
 def load_checkpoint(path):
     """Rebuild a model (plus optional normalization dict) from a checkpoint file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:   # not JSON, or not UTF-8 text
-            raise DataError(f"checkpoint {path} is not a JSON document: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    doc = read_json(path, "checkpoint")
+    if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a model checkpoint: {path}")
     for key in ("config", "params"):
         if key not in doc:

@@ -16,7 +16,7 @@ import numpy as np
 from .data import write_csv
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      TrainingDiverged)
-from .models import (check_field_types, predict_records, shift_right,
+from .models import (check_fields, predict_records, shift_right,
                      stack_model_input)
 from .tensor import Rng
 
@@ -34,20 +34,12 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, dict(plateau_patience=1, early_stop_patience=1,
+                                max_epochs=1, batch_size=1, subseq_len=2))
         if not 0.0 < self.lr < np.inf:    # NaN fails too
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigError(f"lr factor must lie in (0, 1), got {self.lr_factor}")
-        if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise ConfigError("patience values must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max epochs must be >= 1, got {self.max_epochs}")
-        if self.subseq_len < 2:
-            raise ConfigError(
-                f"subsequence length must be >= 2, got {self.subseq_len}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer '{self.optimizer}'")
 

@@ -25,6 +25,10 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+# 2.2 KB of arrays nested deeper than json's recursion limit
+NESTED_JSON = "[" * 1100 + "]" * 1100
+
+
 def write_linear_dataset(path, num_records, length, seed, gain=0.5):
     rng = Rng(seed)
     records = []
@@ -117,7 +121,10 @@ class TestTrain:
         ("", "empty dataset file"),
         ("a,b\n1.0,2.0\n3.0,4.0\n", "no input/output columns declared"),
         ("u1,y1\n1.0,2.0\n", "dataset yields no training subsequences"),
-    ], ids=["empty_file", "no_channel_columns", "one_row"])
+        ("u1,y" + "1" * 140_000 + "\n1.0,2.0\n",
+         "field larger than field limit"),
+    ], ids=["empty_file", "no_channel_columns", "one_row",
+            "header_cell_past_csv_limit"])
     def test_unusable_dataset_exit_2(self, tmp_path, capsys, text, message):
         data = tmp_path / "train.csv"
         data.write_text(text)
@@ -138,11 +145,11 @@ class TestTrain:
         assert "malformed row at line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
-        (("--epochs", 0), "max epochs"),
-        (("--subseq-len", 0), "subsequence length"),
-        (("--subseq-len", 1), "subsequence length"),
-        (("--batch-size", 0), "batch size must be >= 1, got 0"),
-        (("--plateau-patience", 0), "patience values must be >= 1"),
+        (("--epochs", 0), "max_epochs must be >= 1, got 0"),
+        (("--subseq-len", 0), "subseq_len must be >= 2, got 0"),
+        (("--subseq-len", 1), "subseq_len must be >= 2, got 1"),
+        (("--batch-size", 0), "batch_size must be >= 1, got 0"),
+        (("--plateau-patience", 0), "plateau_patience must be >= 1, got 0"),
     ], ids=["epochs_0", "subseq_len_0", "subseq_len_1", "batch_size_0",
             "plateau_patience_0"])
     def test_bad_training_numbers_exit_2(self, tmp_path, capsys, flags, message):
@@ -362,15 +369,19 @@ class TestEval:
         (lambda text: text.replace('"params"', '"parameters"', 1), "'params'"),
         (lambda text: text.replace('"config"', '"configuration"', 1),
          "'config'"),
+        (lambda text: NESTED_JSON, "not a JSON document"),
     ], ids=["not_json", "unknown_config_key", "payload_length",
-            "missing_params", "missing_config"])
+            "missing_params", "missing_config", "nested_too_deep"])
     def test_malformed_checkpoint_exit_2(self, tmp_path, capsys, corrupt,
                                          message):
         ckpt, data = self._oracle_setup(tmp_path)
         ckpt.write_text(corrupt(ckpt.read_text()))
+        out = tmp_path / "o"
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
-                       "--out", tmp_path / "o") == 2
-        assert message in capsys.readouterr().err
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("tamper,message", [
         (lambda d: d["config"].update(hidden="16"), "hidden must be of type int"),
@@ -425,17 +436,20 @@ class TestEval:
         ('{"sample_rate": -5}', "sample_rate must be"),
         ('{"sample_rate": 0}', "sample_rate must be"),
         ('{"sample_rate": NaN}', "sample_rate must be"),
+        (NESTED_JSON, "not a JSON document"),
     ], ids=["segment_past_end", "not_json", "not_a_mapping", "rate_not_a_number",
-            "rate_negative", "rate_zero", "rate_nan"])
+            "rate_negative", "rate_zero", "rate_nan", "nested_too_deep"])
     def test_malformed_sidecar_exit_2(self, tmp_path, capsys, sidecar, message):
         ckpt, _ = self._oracle_setup(tmp_path)
         data = tmp_path / "one.csv"
         write_linear_dataset(data, 1, 40, seed=17)
         (tmp_path / "one.csv.meta.json").write_text(sidecar)
+        out = tmp_path / "o"
         assert run_cli("eval", "--checkpoint", ckpt, "--data", data,
-                       "--out", tmp_path / "o") == 2
+                       "--out", out) == 2
         err = capsys.readouterr().err
         assert "one.csv.meta.json" in err and message in err
+        assert "Traceback" not in err and not list(out.iterdir())
 
     def test_predicts_each_record_once_per_mode(self, tmp_path, monkeypatch):
         model = u_channel_model()
@@ -514,7 +528,7 @@ class TestGridsearch:
         ('{"axes": {"hidden": 2}}', "non-empty list"),
         ('{"axes": ["hidden"]}', "must be a mapping"),
         ('{"base": {"family": "tcn"}}', "no 'axes'"),
-        ('{"axes": {"hidden": [2]', "not JSON"),
+        ('{"axes": {"hidden": [2]', "not a JSON document"),
         ('{"axes": {"hidden": ["4"]}}', "hidden must be of type int"),
         ('{"axes": {"hidden": [3]}, "bse": {"family": "lstm"}}',
          "unknown keys: ['bse']"),
@@ -522,10 +536,11 @@ class TestGridsearch:
          "unknown norm kind 'layer'"),
         ('{"axes": {"hidden": [2]}, "base": {"activation": "gelu"}}',
          "unknown activation 'gelu'"),
+        (NESTED_JSON, "not a JSON document"),
     ], ids=["unknown_base_field", "base_not_a_mapping", "unknown_axis",
             "axis_not_a_list", "axes_not_a_mapping", "missing_axes",
             "not_json", "axis_value_str", "unknown_top_level_key",
-            "unknown_norm", "unknown_activation"])
+            "unknown_norm", "unknown_activation", "nested_too_deep"])
     def test_malformed_grid_file_exit_2(self, tmp_path, capsys, text, message):
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 30, seed=9)

@@ -179,10 +179,13 @@ class TestRunGrid:
         run_grid(configs, train, valid, tiny_train_config(),
                  journal_path=journal)
         lines = journal.read_bytes().splitlines(keepends=True)
-        journal.write_bytes(lines[0][:-25] + b"\r\n" + lines[1])
-        with pytest.raises(DataError, match="line 1"):
-            run_grid(configs, train, valid, tiny_train_config(),
-                     journal_path=journal)
+        # a cut line, and a config cell nested past json's recursion limit
+        for bad in (lines[0][:-25] + b"\r\n",
+                    lines[0].replace(b'"{', b'"' + b"[" * 1200 + b"{", 1)):
+            journal.write_bytes(bad + lines[1])
+            with pytest.raises(DataError, match="line 1"):
+                run_grid(configs, train, valid, tiny_train_config(),
+                         journal_path=journal)
 
     def test_changed_training_settings_rerun_every_config(self, tmp_path,
                                                            monkeypatch):

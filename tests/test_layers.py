@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -591,8 +593,13 @@ def test_backward_needs_a_training_forward(make):
             unprepared.backward(grad)
 
 
-@pytest.mark.parametrize("layer", [BatchNorm(2), LstmLayer(2, 3, Rng(29))],
-                         ids=["batch_norm", "lstm"])
+@pytest.mark.parametrize("layer", [BatchNorm(2), LstmLayer(2, 3, Rng(29)),
+                                   CausalConv1d(2, 1, 2, 1, Rng(0))],
+                         ids=["batch_norm", "lstm", "conv"])
 def test_wrong_channel_count_rejected(layer):
-    with pytest.raises(DimensionError, match="expects"):
-        layer.forward(np.zeros((1, 3, 4)))
+    # one check, Layer._check_input, names the class
+    for shape in ((1, 3, 4), (2, 4)):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"{type(layer).__name__} expects (batch, 2, time), "
+                f"got {shape}")):
+            layer.forward(np.zeros(shape))

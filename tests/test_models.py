@@ -650,6 +650,43 @@ class TestTimeInvariance:
         assert np.array_equal(out[:, :, s + field - 1:], base[:, :, field - 1:])
 
 
+class TestLayout:
+    # numpy reductions and BLAS operand strides set the order of summation,
+    # so seeded bits depend on the layout of every array a layer hands on,
+    # not only on its values
+    @pytest.mark.parametrize("kw", [
+        dict(family="tcn", hidden=8, depth=2, kernel_size=3, dilations=True,
+             norm="batch", dropout=0.3),
+        dict(family="tcn", hidden=8, depth=2, kernel_size=3, dilations=True,
+             norm="weight", dropout=0.3),
+        dict(family="mlp", hidden=8, depth=2, order=4),
+        dict(family="lstm", hidden=8, depth=2, dropout=0.3),
+    ], ids=["tcn_batch_norm", "tcn_weight_norm", "mlp", "lstm"])
+    def test_training_passes_return_c_contiguous_arrays(self, kw):
+        def layers(layer):
+            yield layer
+            for _, child in layer.children:
+                yield from layers(child)
+
+        # T = 1 100 runs the conv forward in more than one column chunk
+        for t_len in (2, 100, 1100):
+            model = build_model(ModelConfig(**kw), Rng(1))
+            strided = []
+            for layer in layers(model):
+                for name in ("forward", "backward"):
+                    def checked(*args, _pass=getattr(layer, name),
+                                _what=f"{type(layer).__name__}.{name}",
+                                **options):
+                        out = _pass(*args, **options)
+                        if not out.flags.c_contiguous:
+                            strided.append((_what, out.strides))
+                        return out
+                    setattr(layer, name, checked)
+            x = Rng(2).gaussian((3, model.config.in_channels, t_len))
+            model.backward(np.ones_like(model.forward(x, training=True)))
+            assert strided == [], t_len
+
+
 class TestGradients:
     @pytest.mark.parametrize("family,kw", [
         ("tcn", dict(hidden=4, depth=2, kernel_size=2, dilations=True,

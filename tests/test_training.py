@@ -365,9 +365,9 @@ def test_train_config_validation():
         TrainConfig(lr_factor=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="adagrad")
-    with pytest.raises(ConfigError, match="max epochs"):
+    with pytest.raises(ConfigError, match="max_epochs must be >= 1, got 0"):
         TrainConfig(max_epochs=0)
-    with pytest.raises(ConfigError, match="subsequence length"):
+    with pytest.raises(ConfigError, match="subseq_len must be >= 2, got 1"):
         TrainConfig(subseq_len=1)
 
 
