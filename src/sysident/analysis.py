@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import (DataError, DimensionError, NumericError, ParameterError,
                      UnsupportedError)
-from .layers import (Activation, BatchNorm, CausalConv1d, Dropout,
-                     ResidualBlock)
+from .layers import Activation, BatchNorm, CausalConv1d, Dropout, Residual
 from .models import predict_records
 from .data import denormalize_output, normalize_dataset
 
@@ -129,7 +128,7 @@ def _jet(layers, jet):
     and (M, M, C)."""
     for layer in layers:
         v, h1, h2 = jet
-        if isinstance(layer, ResidualBlock):
+        if isinstance(layer, Residual):
             skip = jet if layer.skip is None else _jet([layer.skip], jet)
             jet = tuple(a + b for a, b in zip(_jet(layer.body, jet), skip))
         elif isinstance(layer, CausalConv1d):
@@ -157,7 +156,7 @@ def extract_volterra_kernels(model, degree=2):
     Conv tap i shifts lags by i * dilation; an activation maps h1 -> s' h1
     and h2 -> s' h2 + 1/2 s'' h1 (x) h1 at its value v; evaluation-mode batch
     norm scales by gamma / sqrt(var + eps); dropout is the identity; a
-    residual block adds its skip path's jet. With the receptive field as the
+    residual layer adds its skip path's jet. With the receptive field as the
     memory, no zero padding enters what the last output reads. A degree-1
     series has no second-order term: its h2 is zero.
     """

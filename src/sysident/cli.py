@@ -23,8 +23,8 @@ from .data import (NoiseSpec, NormConstants, compute_norm_constants,
                    save_csv_dataset, write_csv, write_json)
 from .errors import DataError, NumericError, SysidentError, UnsupportedError
 from .gridsearch import GridRow, load_grid, run_grid, select_best
-from .layers import ACTIVATIONS, NORM_KINDS
-from .models import (FAMILIES, MODES, ModelConfig, build_model,
+from .layers import ACTIVATIONS
+from .models import (FAMILIES, MODES, NORM_KINDS, ModelConfig, build_model,
                      load_checkpoint, save_checkpoint)
 from .tensor import Rng, derive_seed
 from .training import OPTIMIZERS, TrainConfig, train

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
-NORM_KINDS = ("batch", "weight", "none")
 # columns per contraction of the conv forward's reused (tap, channel) gather
 _FORWARD_CHUNK = 1024
 # terms per reduction of a conv GEMM: within one BLAS reduction block, so
@@ -150,7 +149,7 @@ class Layer:
         return self.forward(col, training=False)
 
 
-# layers applied in turn: the body of a residual block, a feed-forward model
+# layers applied in turn: the body of a residual layer, a feed-forward model
 def chain_forward(layers, x, training=False):
     for layer in layers:
         x = layer.forward(x, training)
@@ -474,47 +473,25 @@ class BatchNorm(Layer):
         return inv[None, :, None] * (dxhat - m1[None, :, None] - xhat * m2[None, :, None])
 
 
-class ResidualBlock(Layer):
-    """Two causal convolutions with norm/activation/dropout, plus a skip path.
+class Residual(Layer):
+    """A body of layers applied in turn plus a skip path: the input itself
+    when ``skip`` is None, otherwise the output of ``skip``, a layer without
+    memory (a 1x1 projection, say).
 
-    Body: [conv -> norm -> activation -> dropout] x 2, both convolutions
-    sharing the block dilation. Skip: identity when the channel counts match,
-    otherwise a learned 1x1 channel projection.
+    ``body`` lists (name, layer) pairs; a None layer is left out. The skip
+    layer is the last child, named "skip".
     """
 
-    def __init__(self, in_channels, out_channels, kernel_size, dilation,
-                 rng, norm="none", dropout=0.0, activation="relu"):
+    def __init__(self, body, skip):
         super().__init__()
-        if norm not in NORM_KINDS:
-            raise ParameterError(f"unknown norm kind '{norm}'")
-        self.dilation = dilation
-        init = "he" if activation == "relu" else "glorot"
-        wn = norm == "weight"
-        self.conv1 = CausalConv1d(in_channels, out_channels, kernel_size,
-                                  dilation, rng, init=init, weight_norm=wn)
-        self.conv2 = CausalConv1d(out_channels, out_channels, kernel_size,
-                                  dilation, rng, init=init, weight_norm=wn)
-        self.bn1 = BatchNorm(out_channels) if norm == "batch" else None
-        self.bn2 = BatchNorm(out_channels) if norm == "batch" else None
-        self.act1 = Activation(activation)
-        self.act2 = Activation(activation)
-        self.drop1 = Dropout(dropout, rng.split())
-        self.drop2 = Dropout(dropout, rng.split())
-        if in_channels != out_channels:
-            self.skip = CausalConv1d(in_channels, out_channels, 1, 1, rng,
-                                     init="glorot")
-        else:
-            self.skip = None
-        self.children = [(name, layer) for name, layer in (
-            ("conv1", self.conv1), ("bn1", self.bn1), ("act1", self.act1),
-            ("drop1", self.drop1), ("conv2", self.conv2), ("bn2", self.bn2),
-            ("act2", self.act2), ("drop2", self.drop2), ("skip", self.skip))
-            if layer is not None]
-        self.body = [layer for name, layer in self.children if name != "skip"]
+        self.children = [(name, layer) for name, layer in
+                         [*body, ("skip", skip)] if layer is not None]
+        self.body = [layer for _, layer in body if layer is not None]
+        self.skip = skip
 
     @property
     def receptive_field(self):
-        return chain_receptive_field(self.body)   # the skip path is 1x1
+        return chain_receptive_field(self.body)   # the skip path has no memory
 
     def forward(self, x, training=False):
         h = chain_forward(self.body, x, training)

@@ -15,15 +15,16 @@ streaming step bitwise equal to ``forward``: both run the same GEMM on the
 same kernel matrix, rows of records in place of rows of time, and add the
 bias after it. The streamed columns are plain C-order arrays.
 
-All three families are one ``SequenceNet``: a chain of stages (TCN residual
-blocks, MLP dense layers or stacked ``LstmLayer``s, whose forward and
-streaming step share one cell update) and a 1x1 output map. An LSTM layer
-takes and returns (batch, channels, time) like every stage, but runs
-feature-major inside: its gates are contiguous (hidden, batch) blocks.
+All three families are one ``SequenceNet``, built here by one recipe per
+family: a chain of stages (TCN residual blocks, each a ``layers.Residual``,
+MLP dense layers or stacked ``LstmLayer``s, whose forward and streaming step
+share one cell update) and a 1x1 output map. An LSTM layer takes and returns
+(batch, channels, time) like every stage, but runs feature-major inside: its
+gates are contiguous (hidden, batch) blocks.
 """
 
 import base64
-import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -31,13 +32,13 @@ import numpy as np
 from .data import SequenceRecord, read_json, write_json
 from .errors import (ConfigError, DataError, DimensionError, ParameterError,
                      UnsupportedError)
-from .layers import (ACTIVATIONS, NORM_KINDS, Activation, CausalConv1d,
-                     Dropout, Layer, ResidualBlock, _init_weight, _sigmoid,
-                     chain_backward, chain_forward, chain_receptive_field,
-                     chain_step)
+from .layers import (ACTIVATIONS, Activation, BatchNorm, CausalConv1d, Dropout,
+                     Layer, Residual, _init_weight, _sigmoid, chain_backward,
+                     chain_forward, chain_receptive_field, chain_step)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
+NORM_KINDS = ("batch", "weight", "none")     # the TCN's normalization
 MODES = ("one-step", "free-run")     # the evaluation modes
 _TIME_CHUNK = 16     # LSTM steps per stacked GEMM outside the recurrence
 # the Python types each annotated config field accepts; bool, although an
@@ -147,20 +148,37 @@ class SequenceNet(Layer):
         return chain_step(self.chain, col)
 
 
+def _init(c):
+    """He initialization for relu networks, Glorot for smooth activations."""
+    return "he" if c.activation == "relu" else "glorot"
+
+
+def _tcn_block(c, cin, dilation, rng):
+    """Body: [conv -> norm -> activation -> dropout] x 2, both convolutions
+    dilated alike. Skip: identity when the channel counts match, otherwise a
+    learned 1x1 channel projection."""
+    body = []
+    for i, n in enumerate((cin, c.hidden), 1):
+        conv = CausalConv1d(n, c.hidden, c.kernel_size, dilation, rng,
+                            init=_init(c), weight_norm=c.norm == "weight")
+        bn = BatchNorm(c.hidden) if c.norm == "batch" else None
+        body += [(f"conv{i}", conv), (f"bn{i}", bn),
+                 (f"act{i}", Activation(c.activation)),
+                 (f"drop{i}", Dropout(c.dropout, rng.split()))]
+    skip = (CausalConv1d(cin, c.hidden, 1, 1, rng, init="glorot")
+            if cin != c.hidden else None)
+    return Residual(body, skip)
+
+
 def _tcn_blocks(c, rng):
-    blocks = []
-    cin = c.in_channels
-    for l in range(c.depth):
-        d = 2 ** l if c.dilations else 1
-        blocks.append(ResidualBlock(
-            cin, c.hidden, c.kernel_size, d, norm=c.norm,
-            dropout=c.dropout, activation=c.activation, rng=rng))
-        cin = c.hidden
-    return blocks
+    # block l dilates by 2**l when dilations are on
+    return [_tcn_block(c, c.hidden if l else c.in_channels,
+                       2 ** l if c.dilations else 1, rng)
+            for l in range(c.depth)]
 
 
 def _mlp_layers(c, rng):
-    init = "he" if c.activation == "relu" else "glorot"
+    init = _init(c)
     layers = [CausalConv1d(c.in_channels, c.hidden, c.order, 1, rng, init=init),
               Activation(c.activation)]
     for _ in range(c.depth - 1):
@@ -170,14 +188,10 @@ def _mlp_layers(c, rng):
 
 
 def _lstm_cells(c, rng):
+    # dropout between stacked layers only, none after the last one
     sizes = [c.in_channels] + [c.hidden] * (c.depth - 1)
-    cells = [LstmLayer(n, c.hidden, rng) for n in sizes]
-    # dropout between stacked layers only (none after the last one); its
-    # streams split off after every cell's weights are drawn
-    for cell in cells[:-1]:
-        cell.drop = Dropout(c.dropout, rng.split())
-        cell.children = [("drop", cell.drop)]
-    return cells
+    return [LstmLayer(n, c.hidden, rng, c.dropout if l < c.depth - 1 else None)
+            for l, n in enumerate(sizes)]
 
 
 def _output_map(c, rng):
@@ -220,14 +234,14 @@ class LstmLayer(Layer):
     forward keeps none, and writes the inputs one chunk and the gates and c
     one step at a time.
 
-    ``drop``, set on every layer but the top one of a stack and listed in
-    ``children``, is inverted dropout on the layer's output, drawn once as a
+    With a ``dropout`` rate (every layer but the top one of a stack), the
+    child ``drop`` is inverted dropout on the layer's output, drawn once as a
     (time, batch, hidden) mask; the recurrence carries the unmasked h.
     Streaming keeps (h, c). The memory is unbounded, so there is no
     receptive field.
     """
 
-    def __init__(self, in_size, hidden, rng):
+    def __init__(self, in_size, hidden, rng, dropout=None):
         super().__init__()
         self.in_size = in_size
         self.hidden = hidden
@@ -236,7 +250,8 @@ class LstmLayer(Layer):
         self._register("Wh", _init_weight(rng, (4 * hidden, hidden),
                                           hidden, hidden, "glorot"))
         self._register("b", np.zeros(4 * hidden))
-        self.drop = None
+        self.drop = None if dropout is None else Dropout(dropout, rng.split())
+        self.children = [] if dropout is None else [("drop", self.drop)]
         self._steps = None     # the arrays BPTT reads, each (T, ., B)
         self._state = None
 
@@ -363,10 +378,14 @@ _STAGES = {"tcn": ("blocks", _tcn_blocks), "mlp": ("layers", _mlp_layers),
 
 
 def build_model(config, rng):
-    """Instantiate a model family from its configuration; deterministic in rng."""
+    """Instantiate a model family from its configuration, deterministic in
+    rng; ConfigError if its arrays cannot be allocated."""
     group, make_stages = _STAGES[config.family]
-    stages = make_stages(config, rng)
-    return SequenceNet(config, group, stages, _output_map(config, rng))
+    try:
+        stages = make_stages(config, rng)
+        return SequenceNet(config, group, stages, _output_map(config, rng))
+    except MemoryError as exc:
+        raise ConfigError(f"configuration too large to build: {exc}") from None
 
 
 def count_parameters(config):
@@ -538,7 +557,8 @@ def _check_normalization(norm, config, path):
                       ("y_mean", config.ny), ("y_scale", config.ny)):
         vec = norm.get(key)
         ok = (isinstance(vec, list) and len(vec) == size
-              and all(type(v) in (int, float) and math.isfinite(v) for v in vec))
+              and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                      for v in vec))
         if not ok or (key.endswith("scale") and min(vec) <= 0):
             raise DataError(f"checkpoint {path}: normalization '{key}' must be "
                             f"a list of {size} finite numbers (scales > 0), "

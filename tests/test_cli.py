@@ -12,11 +12,12 @@ from sysident import (ModelConfig, NormConstants, Rng, TrainConfig,
                       build_model, compute_norm_constants, evaluate,
                       load_checkpoint, load_csv_dataset, save_checkpoint)
 from sysident import analysis, cli, models
-from sysident.layers import ACTIVATIONS, NORM_KINDS
-from sysident.models import FAMILIES, MODES
-from sysident.training import OPTIMIZERS
+from sysident.layers import ACTIVATIONS
+from sysident.models import FAMILIES, MODES, NORM_KINDS
+from sysident.training import OPTIMIZERS, validation_loss
 from sysident.cli import main
-from sysident.data import Dataset, SequenceRecord, save_csv_dataset
+from sysident.data import (Dataset, SequenceRecord, normalize_dataset,
+                           save_csv_dataset)
 
 from test_models import diverging_mlp, u_channel_model
 
@@ -90,6 +91,17 @@ class TestGenerate:
         assert "finite" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--records", 0), ("--val-records", 0), ("--length", 2)])
+    def test_too_small_dataset_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gen"
+        assert run_cli("generate", "chen", "--records", 2, "--length", 20,
+                       flag, value, "--seed", 3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "need at least 1 record of length >= 3" in err
+        assert "Traceback" not in err
+        assert not list(out.iterdir())
+
 
 class TestTrain:
     def test_recovers_linear_gain_through_cli(self, tmp_path):
@@ -150,16 +162,19 @@ class TestTrain:
         (("--subseq-len", 1), "subseq_len must be >= 2, got 1"),
         (("--batch-size", 0), "batch_size must be >= 1, got 0"),
         (("--plateau-patience", 0), "plateau_patience must be >= 1, got 0"),
+        # numpy refuses the first weight array (29 TiB) outright
+        (("--hidden", 10 ** 12), "too large to build"),
     ], ids=["epochs_0", "subseq_len_0", "subseq_len_1", "batch_size_0",
-            "plateau_patience_0"])
+            "plateau_patience_0", "hidden_too_large_to_build"])
     def test_bad_training_numbers_exit_2(self, tmp_path, capsys, flags, message):
         data = tmp_path / "train.csv"
         write_linear_dataset(data, 2, 40, seed=6)
         out = tmp_path / "run"
         assert run_cli("train", "--data", data, "--hidden", 3, *flags,
                        "--seed", 6, "--out", out) == 2
-        assert message in capsys.readouterr().err
-        assert not (out / "checkpoint.json").exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(out.iterdir())
 
     def test_column_selected_twice_exit_2(self, tmp_path, capsys,
                                           monkeypatch):
@@ -235,6 +250,25 @@ class TestTrain:
                               mode=mode,
                               normalization=NormConstants.from_dict(norm))
             assert report["rmse_mean"] == direct.rmse_mean
+
+    def test_normalize_scores_validation_with_training_statistics(self,
+                                                                 tmp_path):
+        gen, run = tmp_path / "gen", tmp_path / "run"
+        assert run_cli("generate", "chen", "--records", 4, "--val-records", 2,
+                       "--length", 60, "--seed", 8, "--out", gen) == 0
+        assert run_cli("train", "--data", gen / "train.csv", "--val",
+                       gen / "valid.csv", "--hidden", 4, "--epochs", 1,
+                       "--normalize", "--seed", 9, "--out", run) == 0
+        model, norm = load_checkpoint(run / "checkpoint.json")
+        valid = load_csv_dataset(gen / "valid.csv")
+        with open(run / "history.csv", newline="") as fh:
+            row, = csv.DictReader(fh)
+        expected = validation_loss(
+            model, normalize_dataset(valid, NormConstants.from_dict(norm)))
+        assert float(row["valid_loss"]) == expected
+        # the validation set's own statistics give another loss
+        own = normalize_dataset(valid, compute_norm_constants(valid))
+        assert validation_loss(model, own) != expected
 
     @pytest.mark.parametrize("family", ["tcn", "mlp", "lstm"])
     def test_family_dispatch(self, tmp_path, family):
@@ -398,9 +432,14 @@ class TestEval:
         (lambda d: d["normalization"].update(y_mean=["1"]), "'y_mean'"),
         (lambda d: d["normalization"].update(y_mean=[float("nan")]), "'y_mean'"),
         (lambda d: d["normalization"].update(u_scale=[0.0]), "'u_scale'"),
+        # an int past the float range; math.isfinite would overflow on it
+        (lambda d: d["normalization"].update(u_mean=[10 ** 400]), "'u_mean'"),
+        # numpy refuses the first weight array (29 TiB) outright
+        (lambda d: d["config"].update(hidden=10 ** 12), "too large to build"),
     ], ids=["hidden_str", "hidden_float", "depth_bool", "dropout_str",
             "dilations_int", "norm_missing_key", "norm_not_a_mapping",
-            "norm_wrong_length", "norm_str_value", "norm_nan", "norm_zero_scale"])
+            "norm_wrong_length", "norm_str_value", "norm_nan", "norm_zero_scale",
+            "norm_int_past_float_range", "hidden_too_large_to_build"])
     def test_bad_checkpoint_field_exit_2(self, tmp_path, capsys, tamper, message):
         ckpt, data = self._oracle_setup(tmp_path)
         doc = json.loads(ckpt.read_text())
@@ -413,7 +452,7 @@ class TestEval:
                        "--out", out) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-        assert not (out / "manifest.json").exists()
+        assert not list(out.iterdir())
 
     def test_valid_normalization_accepted(self, tmp_path):
         ckpt, data = self._oracle_setup(tmp_path)

@@ -284,6 +284,15 @@ class TestRunGrid:
         assert len(rows) == 2
         assert "failed" in statuses.values()
 
+    def test_config_too_large_to_build_recorded_failed(self):
+        # numpy refuses the first weight array of hidden 10**12 outright
+        train, valid = tiny_datasets()
+        configs = grid_expand({"hidden": [10 ** 12, 3]}, ModelConfig(
+            family="tcn", depth=1, kernel_size=2, activation="tanh"))
+        rows = run_grid(configs, train, valid, tiny_train_config())
+        assert [r.status for r in rows] == ["failed", "ok"]
+        assert rows[0].rmse_one_step is None and rows[0].rmse_free_run is None
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_validation_rmse_recorded_failed(self, monkeypatch,
                                                         bad):

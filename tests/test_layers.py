@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from sysident import Rng
+from sysident import ModelConfig, Rng
 from sysident.errors import DataError, DimensionError, ParameterError
 from sysident.layers import (Activation, BatchNorm, CausalConv1d, Dropout,
-                             ResidualBlock, _gemm_rows, _sigmoid,
-                             weight_norm_backward, weight_norm_forward)
-from sysident.models import LstmLayer
+                             _gemm_rows, _sigmoid, weight_norm_backward,
+                             weight_norm_forward)
+from sysident.models import LstmLayer, _tcn_block
 
 from gradcheck import check_model_gradients, numerical_gradient, relative_error
 
@@ -514,22 +514,29 @@ class TestWeightNorm:
         assert relative_error(d_g, numerical_gradient(objective, g)) < GRAD_TOL
 
 
+def tcn_block(in_channels, hidden, kernel_size, dilation, seed, **kw):
+    """One TCN residual block, built by the models.py recipe."""
+    cfg = ModelConfig(family="tcn", hidden=hidden, kernel_size=kernel_size, **kw)
+    return _tcn_block(cfg, in_channels, dilation, Rng(seed))
+
+
 class TestResidualBlock:
     def _zero_body(self, block):
-        for conv in (block.conv1, block.conv2):
+        children = dict(block.children)
+        for conv in (children["conv1"], children["conv2"]):
             for grad_name in ("W", "v"):
                 if grad_name in conv.params:
                     conv.params[grad_name][...] = 0.0
             conv.params["b"][...] = 0.0
 
     def test_pure_skip_when_body_is_zero(self):
-        block = ResidualBlock(3, 3, 2, 1, norm="none", activation="relu", rng=Rng(18))
+        block = tcn_block(3, 3, 2, 1, 18, norm="none", activation="relu")
         self._zero_body(block)
         x = Rng(19).gaussian((2, 3, 6))
         assert np.array_equal(block.forward(x), x)
 
     def test_channel_projection_skip(self):
-        block = ResidualBlock(2, 3, 2, 1, norm="none", activation="relu", rng=Rng(20))
+        block = tcn_block(2, 3, 2, 1, 20, norm="none", activation="relu")
         self._zero_body(block)
         block.skip.params["W"][...] = 0.0
         block.skip.params["W"][0, 0, 0] = 1.0   # row 0 picks channel 0
@@ -544,12 +551,12 @@ class TestResidualBlock:
 
     @pytest.mark.parametrize("norm", ["none", "batch", "weight"])
     def test_backward_matches_finite_differences(self, norm):
-        block = ResidualBlock(2, 3, 2, 2, norm=norm, activation="tanh", rng=Rng(22))
+        block = tcn_block(2, 3, 2, 2, 22, norm=norm, activation="tanh")
         x = Rng(23).gaussian((2, 2, 7))
         assert check_model_gradients(block, x, training=True) < GRAD_TOL
 
     def test_causality_is_bitwise(self):
-        block = ResidualBlock(2, 4, 3, 2, norm="none", activation="tanh", rng=Rng(24))
+        block = tcn_block(2, 4, 3, 2, 24, norm="none", activation="tanh")
         x = Rng(25).gaussian((1, 2, 12))
         base = block.forward(x.copy())
         probed = x.copy()
