@@ -130,7 +130,7 @@ def _jet(layers, jet):
         v, h1, h2 = jet
         if isinstance(layer, Residual):
             skip = jet if layer.skip is None else _jet([layer.skip], jet)
-            jet = tuple(a + b for a, b in zip(_jet(layer.body, jet), skip))
+            jet = tuple(a + b for a, b in zip(_jet(layer.chain, jet), skip))
         elif isinstance(layer, CausalConv1d):
             w = layer.effective_weight()
             jet = tuple(sum(_delay(x, i * layer.dilation) @ w[:, :, i].T

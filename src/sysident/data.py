@@ -67,6 +67,12 @@ class Dataset:
     def __post_init__(self):
         if self.role not in ("training", "validation", "test"):
             raise DataError(f"unknown dataset role '{self.role}'")
+        if not self.records:
+            raise DataError("a dataset needs at least one record")
+        for i, r in enumerate(self.records):
+            if (r.u.shape[0], r.y.shape[0]) != self.channels:
+                raise DataError(f"record {i} has (nu, ny) = ({r.u.shape[0]}, "
+                                f"{r.y.shape[0]}), record 0 {self.channels}")
 
     @property
     def num_samples(self):
@@ -74,7 +80,7 @@ class Dataset:
 
     @property
     def channels(self):
-        """(nu, ny), the input and output channel counts of the first record."""
+        """(nu, ny), the input and output channel counts of every record."""
         return self.records[0].u.shape[0], self.records[0].y.shape[0]
 
 

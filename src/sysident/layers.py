@@ -149,30 +149,6 @@ class Layer:
         return self.forward(col, training=False)
 
 
-# layers applied in turn: the body of a residual layer, a feed-forward model
-def chain_forward(layers, x, training=False):
-    for layer in layers:
-        x = layer.forward(x, training)
-    return x
-
-
-def chain_backward(layers, grad):
-    for layer in reversed(layers):
-        grad = layer.backward(grad)
-    return grad
-
-
-def chain_step(layers, col):
-    for layer in layers:
-        col = layer.step(col)
-    return col
-
-
-def chain_receptive_field(layers):
-    # each layer reaches rf - 1 samples further back than its input does
-    return 1 + sum(layer.receptive_field - 1 for layer in layers)
-
-
 def _gemm_rows(a, b):
     """``a @ b`` for a (..., N, M) ``a``: one GEMM of N rows (time, or records
     in a streaming step) per record and chunk of at most _GRAD_CHUNK of the
@@ -473,34 +449,57 @@ class BatchNorm(Layer):
         return inv[None, :, None] * (dxhat - m1[None, :, None] - xhat * m2[None, :, None])
 
 
-class Residual(Layer):
-    """A body of layers applied in turn plus a skip path: the input itself
-    when ``skip`` is None, otherwise the output of ``skip``, a layer without
-    memory (a 1x1 projection, say).
+class Chain(Layer):
+    """Layers applied in turn: ``named`` lists (name, layer) pairs, the
+    children, of which a None layer is left out; ``chain`` holds the layers."""
 
-    ``body`` lists (name, layer) pairs; a None layer is left out. The skip
-    layer is the last child, named "skip".
-    """
-
-    def __init__(self, body, skip):
+    def __init__(self, named):
         super().__init__()
-        self.children = [(name, layer) for name, layer in
-                         [*body, ("skip", skip)] if layer is not None]
-        self.body = [layer for _, layer in body if layer is not None]
-        self.skip = skip
+        self.children = [(name, layer) for name, layer in named
+                         if layer is not None]
+        self.chain = [layer for _, layer in self.children]
 
     @property
     def receptive_field(self):
-        return chain_receptive_field(self.body)   # the skip path has no memory
+        # each layer reaches rf - 1 samples further back than its input does
+        return 1 + sum(layer.receptive_field - 1 for layer in self.chain)
 
     def forward(self, x, training=False):
-        h = chain_forward(self.body, x, training)
+        for layer in self.chain:
+            x = layer.forward(x, training)
+        return x
+
+    def backward(self, grad):
+        for layer in reversed(self.chain):
+            grad = layer.backward(grad)
+        return grad
+
+    def step(self, col):
+        for layer in self.chain:
+            col = layer.step(col)
+        return col
+
+
+class Residual(Chain):
+    """A ``Chain`` of ``body`` plus a skip path: the input itself when
+    ``skip`` is None, otherwise the output of ``skip``, a layer without
+    memory (a 1x1 projection, say), so the receptive field is the body's.
+    The skip layer is the last child, named "skip", and not in ``chain``."""
+
+    def __init__(self, body, skip):
+        super().__init__(body)
+        self.skip = skip
+        if skip is not None:
+            self.children.append(("skip", skip))
+
+    def forward(self, x, training=False):
+        h = super().forward(x, training)
         return h + (x if self.skip is None else self.skip.forward(x, training))
 
     def backward(self, grad):
-        dx = chain_backward(self.body, grad)
+        dx = super().backward(grad)
         return dx + (grad if self.skip is None else self.skip.backward(grad))
 
     def step(self, col):
-        h = chain_step(self.body, col)
+        h = super().step(col)
         return h + (col if self.skip is None else self.skip.step(col))

@@ -15,10 +15,10 @@ streaming step bitwise equal to ``forward``: both run the same GEMM on the
 same kernel matrix, rows of records in place of rows of time, and add the
 bias after it. The streamed columns are plain C-order arrays.
 
-All three families are one ``SequenceNet``, built here by one recipe per
-family: a chain of stages (TCN residual blocks, each a ``layers.Residual``,
-MLP dense layers or stacked ``LstmLayer``s, whose forward and streaming step
-share one cell update) and a 1x1 output map. An LSTM layer takes and returns
+All three families are one ``SequenceNet``, a ``layers.Chain`` built here
+by one recipe per family: a chain of stages (TCN residual blocks, each a
+``layers.Residual``, MLP dense layers or stacked ``LstmLayer``s, whose
+forward and streaming step share one cell update) and a 1x1 output map. An LSTM layer takes and returns
 (batch, channels, time) like every stage, but runs feature-major inside: its
 gates are contiguous (hidden, batch) blocks.
 """
@@ -32,9 +32,8 @@ import numpy as np
 from .data import SequenceRecord, read_json, write_json
 from .errors import (ConfigError, DataError, DimensionError, ParameterError,
                      UnsupportedError)
-from .layers import (ACTIVATIONS, Activation, BatchNorm, CausalConv1d, Dropout,
-                     Layer, Residual, _init_weight, _sigmoid, chain_backward,
-                     chain_forward, chain_receptive_field, chain_step)
+from .layers import (ACTIVATIONS, Activation, BatchNorm, CausalConv1d, Chain,
+                     Dropout, Layer, Residual, _init_weight, _sigmoid)
 from .tensor import Rng
 
 FAMILIES = ("tcn", "mlp", "lstm")
@@ -107,15 +106,16 @@ class ModelConfig:
         return cls(**d)
 
 
-class SequenceNet(Layer):
-    """A chain of sequence stages followed by a 1x1 output map.
+class SequenceNet(Chain):
+    """A chain of sequence stages, children ``{group}.{i}``, followed by a
+    1x1 output map, child ``head``.
 
     The TCN's stages are residual blocks of dilated causal convolutions
-    (``model.blocks``). The NARX-MLP's first stage is a kernel-n causal
+    (group "blocks"). The NARX-MLP's first stage is a kernel-n causal
     convolution, which is exactly a dense layer on the window of the last n
     regression vectors; its deeper hidden layers are 1x1 convolutions, i.e.
-    per-time-step dense maps (``model.layers``). The LSTM's stages are
-    stacked recurrent layers (``model.cells``).
+    per-time-step dense maps (group "layers"). The LSTM's stages are stacked
+    recurrent layers (group "cells").
 
     ``begin_stream`` resets every stage's ring buffers or recurrent state;
     ``step`` then advances the whole model one time step, computing only
@@ -123,29 +123,16 @@ class SequenceNet(Layer):
     """
 
     def __init__(self, config, group, stages, head):
-        super().__init__()
+        named = [(f"{group}.{i}", s) for i, s in enumerate(stages)]
+        super().__init__([*named, ("head", head)])
         self.config = config
-        setattr(self, group, stages)     # model.blocks, .layers or .cells
-        self.head = head
-        self.children = [(f"{group}.{i}", s) for i, s in enumerate(stages)]
-        self.children.append(("head", head))
-        self.chain = [*stages, head]
+
+    # Chain's own, named here so that perfbench/bench_trace.py, which wraps
+    # the methods a model class defines itself, times whole-model calls
+    forward, backward, step = Chain.forward, Chain.backward, Chain.step
 
     def num_parameters(self):
         return sum(p.size for _, p in self.named_parameters())
-
-    @property
-    def receptive_field(self):
-        return chain_receptive_field(self.chain)
-
-    def forward(self, x, training=False):
-        return chain_forward(self.chain, x, training)
-
-    def backward(self, grad):
-        return chain_backward(self.chain, grad)
-
-    def step(self, col):
-        return chain_step(self.chain, col)
 
 
 def _init(c):
@@ -430,7 +417,7 @@ def predict_records(model, records, mode):
     not have): free-run simulates each group as one batch, and one-step runs
     each group as one (B, C, T) evaluation forward, which keeps no backward
     caches. A batched conv row equals the one-record prediction bit for bit;
-    as with free-run, a batched LSTM row may differ in the last bits.
+    an LSTM row may differ in the last bits, as ``simulate_free_run`` says.
     """
     if mode not in MODES:
         raise DataError(f"unknown evaluation mode '{mode}'")
@@ -456,8 +443,10 @@ def simulate_free_run(model, u):
     (B, nu, T); the output, (ny, T) or (B, ny, T), has the same rank. One
     streaming time step advances every record of the batch, from zero
     history. A batched row equals the one-record run bit for bit, except for
-    the LSTM: BLAS may sum a one-row gate product in another order than a
-    many-row one.
+    the LSTM: its gate products have one column per record, and on OpenBLAS
+    (1 or 2 threads) a row from a group of 1-4 records differs from one of
+    5-12, whose rows agree, at hidden 16 and 32; at hidden 5 only a lone
+    record's does. One-step prediction follows the same rule.
     """
     c = model.config
     u = np.asarray(u, dtype=np.float64)

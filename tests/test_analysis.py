@@ -67,7 +67,7 @@ def fir_tanh_model(seed, memory=4, hidden=6, scale=0.5, activation="tanh",
     for _, p in model.named_parameters():
         p[...] = rng.uniform(-scale, scale, p.shape)
     if zero_bias:
-        model.layers[0].params["b"][...] = 0.0
+        model.chain[0].params["b"][...] = 0.0
     return model
 
 
@@ -89,15 +89,15 @@ def closed_form_kernels(model):
     """h0, h1 and h2 of a depth-1 MLP, expanding each hidden unit at its bias:
     h0 = b_out + sum_j w2[j] sigma(b[j]), h1[t] = sum_j w2[j] sigma'(b[j])
     W1[j, t] and h2[t, s] = 1/2 sum_j w2[j] sigma''(b[j]) W1[j, t] W1[j, s]."""
-    w1 = model.layers[0].effective_weight()[:, 0, :]   # (hidden, lags)
-    b1 = model.layers[0].params["b"]
-    w2 = model.head.effective_weight()[0, :, 0]
+    w1 = model.chain[0].effective_weight()[:, 0, :]   # (hidden, lags)
+    b1 = model.chain[0].params["b"]
+    w2 = model.chain[-1].effective_weight()[0, :, 0]
     s = Activation(model.config.activation).apply(b1)
     if model.config.activation == "tanh":
         s1, s2 = 1.0 - s * s, -2.0 * s * (1.0 - s * s)
     else:
         s1, s2 = s * (1.0 - s), s * (1.0 - s) * (1.0 - 2.0 * s)
-    h0 = float(model.head.params["b"][0] + np.sum(w2 * s))
+    h0 = float(model.chain[-1].params["b"][0] + np.sum(w2 * s))
     h1 = np.einsum("j,jt->t", w2 * s1, w1)
     h2 = 0.5 * np.einsum("j,jt,js->ts", w2 * s2, w1, w1)
     return h0, h1, h2
@@ -130,14 +130,14 @@ FD_CASES = [pytest.param(act, None, id=act) for act in ("tanh", "sigmoid")] + [
 class TestVolterraExtraction:
     def test_constant_network(self):
         model = fir_tanh_model(1)
-        first = model.layers[0]
+        first = model.chain[0]
         first.params["W"][...] = 0.0
         kernels = extract_volterra_kernels(model)
         assert not kernels.h1.any()
         assert not kernels.h2.any()
         b = first.params["b"]
-        w2 = model.head.params["W"][0, :, 0]
-        expected = float(model.head.params["b"][0] + np.sum(w2 * np.tanh(b)))
+        w2 = model.chain[-1].params["W"][0, :, 0]
+        expected = float(model.chain[-1].params["b"][0] + np.sum(w2 * np.tanh(b)))
         assert kernels.h0 == pytest.approx(expected, abs=1e-15)
 
     def test_single_unit_zero_bias(self):
@@ -145,8 +145,8 @@ class TestVolterraExtraction:
         model = fir_tanh_model(2, memory=3, hidden=1, zero_bias=True)
         kernels = extract_volterra_kernels(model)
         assert np.linalg.norm(kernels.h2) < 1e-12
-        w1 = model.layers[0].params["W"][0, 0, :]
-        w2 = float(model.head.params["W"][0, 0, 0])
+        w1 = model.chain[0].params["W"][0, 0, :]
+        w2 = float(model.chain[-1].params["W"][0, 0, 0])
         assert np.allclose(kernels.h1, w2 * w1, atol=1e-15)
 
     @pytest.mark.parametrize("activation,arch", FD_CASES)
@@ -208,7 +208,7 @@ class TestVolterraExtraction:
 class TestFdOracle:
     def test_linear_fir_recovers_impulse_response(self):
         model = fir_tanh_model(7, memory=4, hidden=3)
-        first = model.layers[0]
+        first = model.chain[0]
         # tiny weights keep the network effectively linear
         first.params["W"][...] *= 1e-3
         impulse = np.zeros(4)

@@ -136,6 +136,20 @@ class TestMakeChenDataset:
             assert np.array_equal(ra.y, rb.y)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("channels,role,message", [
+        ([], "training", "at least one record"),
+        ([(1, 1), (2, 1)], "training", r"record 1 has \(nu, ny\) = \(2, 1\)"),
+        ([(2, 1), (2, 1), (2, 2)], "test", r"record 2 has \(nu, ny\) = \(2, 2\)"),
+        ([(1, 1)], "bogus", "unknown dataset role 'bogus'"),
+    ], ids=["no_records", "nu_differs", "ny_differs", "unknown_role"])
+    def test_invalid_dataset_rejected(self, channels, role, message):
+        records = [SequenceRecord(u=np.zeros((nu, 5)), y=np.zeros((ny, 5)))
+                   for nu, ny in channels]
+        with pytest.raises(DataError, match=message):
+            Dataset(records=records, role=role)
+
+
 class TestCsvRoundTrip:
     def test_small_file(self, tmp_path):
         path = tmp_path / "small.csv"

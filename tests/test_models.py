@@ -14,6 +14,7 @@ from sysident.errors import (ConfigError, DataError, DimensionError,
 from sysident import models
 from sysident.layers import CausalConv1d, Dropout, Layer, _sigmoid
 from sysident.models import predict_records
+from sysident.training import validation_loss
 
 from gradcheck import check_model_gradients
 
@@ -62,14 +63,14 @@ def u_channel_model():
     """One-block TCN wired to realize yhat[k+1] = u[k] exactly."""
     cfg = ModelConfig(family="tcn", hidden=1, depth=1, kernel_size=1)
     model = build_model(cfg, Rng(0))
-    block = dict(model.blocks[0].children)
+    block = dict(model.chain[0].children)
     for name in ("conv1", "conv2"):
         block[name].params["W"][...] = 0.0
         block[name].params["b"][...] = 0.0
     block["skip"].params["W"][0, :, 0] = [1.0, 0.0]
     block["skip"].params["b"][...] = 0.0
-    model.head.params["W"][...] = 1.0
-    model.head.params["b"][...] = 0.0
+    model.chain[-1].params["W"][...] = 1.0
+    model.chain[-1].params["b"][...] = 0.0
     return model
 
 
@@ -89,7 +90,7 @@ def diverging_mlp():
 
 def y_channel_model():
     model = u_channel_model()
-    model.blocks[0].skip.params["W"][0, :, 0] = [0.0, 1.0]
+    model.chain[0].skip.params["W"][0, :, 0] = [0.0, 1.0]
     return model
 
 
@@ -98,13 +99,13 @@ class TestBuildModel:
         cfg = ModelConfig(family="tcn", depth=3, kernel_size=2, dilations=True)
         model = build_model(cfg, Rng(0))
         assert [[dict(b.children)[n].dilation for n in ("conv1", "conv2")]
-                for b in model.blocks] == [[1, 1], [2, 2], [4, 4]]
+                for b in model.chain[:-1]] == [[1, 1], [2, 2], [4, 4]]
 
     def test_dilations_off(self):
         cfg = ModelConfig(family="tcn", depth=3, kernel_size=2, dilations=False)
         model = build_model(cfg, Rng(0))
         assert [[dict(b.children)[n].dilation for n in ("conv1", "conv2")]
-                for b in model.blocks] == [[1, 1]] * 3
+                for b in model.chain[:-1]] == [[1, 1]] * 3
 
     def test_same_seed_same_parameters(self):
         cfg = ModelConfig(family="lstm", hidden=8, depth=2, dropout=0.2)
@@ -165,7 +166,7 @@ class TestBuildModel:
         # order 2 with (u, y) channels stacks 4 values per regression vector
         cfg = ModelConfig(family="mlp", nu=1, ny=1, order=2, hidden=16)
         model = build_model(cfg, Rng(0))
-        w = model.layers[0].params["W"]
+        w = model.chain[0].params["W"]
         assert w.shape == (16, 2, 2)
         assert w[0].size == 4
 
@@ -308,6 +309,8 @@ class TestPredictRecords:
         for mode in models.MODES:
             with pytest.raises(DataError, match="empty"):
                 evaluate(model, data, mode=mode)
+        with pytest.raises(DataError, match="empty"):
+            validation_loss(model, data)
 
     def test_unknown_mode_rejected(self):
         model = build_model(ModelConfig(family="lstm", hidden=3), Rng(46))
@@ -459,7 +462,7 @@ class TestLstmCell:
     def test_bptt_with_dropout_matches_finite_differences(self):
         cfg = ModelConfig(family="lstm", hidden=3, depth=3, dropout=0.3)
         model = build_model(cfg, Rng(30))
-        rngs = [cell.drop.rng for cell in model.cells[:-1]]
+        rngs = [cell.drop.rng for cell in model.chain[:-2]]
         x = Rng(31).gaussian((2, 2, 5))
         err = check_model_gradients(
             model, x, training=True, rng_state=[r.get_state() for r in rngs],
@@ -472,24 +475,24 @@ class TestLstmCell:
         cfg = ModelConfig(family="lstm", hidden=4, depth=3, dropout=0.3)
         model = build_model(cfg, Rng(32))
         drops = []
-        for cell in model.cells[:-1]:
+        for cell in model.chain[:-2]:
             clone = Dropout(cell.drop.rate, Rng(0))
             clone.rng.set_state(cell.drop.rng.get_state())
             drops.append(clone)
         x = Rng(33).gaussian((3, 2, 6))
         out = model.forward(x, training=True)
-        state = [(np.zeros((3, 4)), np.zeros((3, 4))) for _ in model.cells]
+        state = [(np.zeros((3, 4)), np.zeros((3, 4))) for _ in model.chain[:-1]]
         tops = np.zeros((3, 4, 6))
         for t in range(6):
             h = x[:, :, t]
-            for li, cell in enumerate(model.cells):
+            for li, cell in enumerate(model.chain[:-1]):
                 h, c = lstm_cell_step(h, *state[li], cell.params["Wx"],
                                       cell.params["Wh"], cell.params["b"])
                 state[li] = (h, c)
                 if li < len(drops):
                     h = drops[li].forward(h, training=True)
             tops[:, :, t] = h
-        assert out.tobytes() == model.head.forward(tops, training=True).tobytes()
+        assert out.tobytes() == model.chain[-1].forward(tops, training=True).tobytes()
         assert not np.array_equal(out, model.forward(x, training=False))
 
     def test_eval_forward_keeps_no_step_caches(self):
@@ -500,12 +503,12 @@ class TestLstmCell:
         # per time step, feature and batch column: the input, h and c before
         # the step (and after the last one), the gates, the candidate and
         # tanh(c)
-        for cell, in_size in zip(model.cells, (2, 4)):
+        for cell, in_size in zip(model.chain[:-1], (2, 4)):
             steps = [(6, in_size, 3), (7, 4, 3), (7, 4, 3), (6, 16, 3),
                      (6, 4, 3), (6, 4, 3)]
             assert [a.shape for a in cell._steps] == steps
         model.forward(x, training=False)
-        for cell in model.cells:
+        for cell in model.chain[:-1]:
             assert cell._steps is None
             with pytest.raises(ParameterError, match="backward called before forward"):
                 cell.backward(np.ones((3, 4, 6)))
@@ -579,7 +582,7 @@ class TestLstmCell:
 
     def test_backward_needs_training_forward(self):
         model = build_model(ModelConfig(family="lstm", hidden=4), Rng(36))
-        cell = model.cells[0]
+        cell = model.chain[0]
         grad = np.ones((1, 4, 5))
         with pytest.raises(ParameterError, match="backward called before forward"):
             cell.backward(grad)
@@ -588,7 +591,7 @@ class TestLstmCell:
             cell.backward(grad)
 
     def test_step_needs_begin_stream(self):
-        cell = build_model(ModelConfig(family="lstm", hidden=4), Rng(36)).cells[0]
+        cell = build_model(ModelConfig(family="lstm", hidden=4), Rng(36)).chain[0]
         with pytest.raises(ParameterError, match="before begin_stream"):
             cell.step(np.zeros((1, 2, 1)))
 
@@ -596,7 +599,7 @@ class TestLstmCell:
     def test_step_rejects_a_misshaped_column(self, shape):
         # the stream holds 3 records of 2 channels: a (1, 2, 1) column used to
         # broadcast against the (3, H) state and return 3 rows
-        cell = build_model(ModelConfig(family="lstm", hidden=4), Rng(36)).cells[0]
+        cell = build_model(ModelConfig(family="lstm", hidden=4), Rng(36)).chain[0]
         cell.begin_stream(3)
         with pytest.raises(DimensionError):
             cell.step(np.zeros(shape))
@@ -765,7 +768,7 @@ class TestCheckpoint:
         # over children finds it; it holds no parameters or state
         model = build_model(ModelConfig(family="lstm", hidden=3, depth=3,
                                         dropout=0.3), Rng(28))
-        assert list(dropouts(model)) == [cell.drop for cell in model.cells[:-1]]
+        assert list(dropouts(model)) == [cell.drop for cell in model.chain[:-2]]
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         doc = json.loads(path.read_text())
